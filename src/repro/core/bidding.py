@@ -123,7 +123,7 @@ class ReactiveBidding:
     def dynamics_components(self, od_prices) -> dict:
         """Structured split of :meth:`dynamics_signature` by which part of
         the scheduler consumes each parameter, so capability-aware dedupe
-        (:func:`repro.runtime.fused.fused_dedupe_key`) can project out
+        (:func:`repro.runtime.fused.dedupe_key`) can project out
         components a strategy never evaluates. ``planned`` is ``None``:
         the reactive planned predicate is constant-False. The
         ``*_thresholds`` entries are the numeric per-market thresholds

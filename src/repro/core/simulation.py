@@ -152,17 +152,13 @@ def build_stack(
     Configurations the vector engine cannot batch (non-vectorizable
     strategy or bidding policy, an enabled trace sink) transparently run
     per-event; the scheduler's ``vectorized`` attribute says which
-    happened. ``engine="fused"`` is the same scheduler; the name exists
-    so single-run entry points accept every batch engine name. ``fused``
-    optionally attaches a shared
+    happened. ``fused`` optionally attaches a shared
     :class:`~repro.runtime.fused.FusedScanContext` so boundary-scan rows
     are reused across the runs of a fusion group (ignored by the event
     engine).
     """
-    if engine not in ("event", "vector", "fused"):
-        raise ConfigurationError(
-            f"unknown engine {engine!r} (want 'event', 'vector' or 'fused')"
-        )
+    if engine not in ("event", "vector"):
+        raise ConfigurationError(f"unknown engine {engine!r} (want 'event' or 'vector')")
     catalog = config.catalog
     if catalog is None:
         catalog = build_catalog(
@@ -187,7 +183,7 @@ def build_stack(
     strategy = config.strategy()
     scheduler_cls = CloudScheduler
     extra = {}
-    if engine in ("vector", "fused"):
+    if engine == "vector":
         # Imported lazily: repro.runtime builds on this module.
         from repro.runtime.vector import VectorScheduler
 

@@ -14,7 +14,7 @@ from typing import List, Optional
 from repro.experiments.common import DEFAULT_SEEDS, ExperimentConfig
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.obs import observe
-from repro.runtime import collect_telemetry
+from repro.runtime import ENGINE_KINDS, collect_telemetry
 from repro.units import days
 
 __all__ = ["main", "build_parser"]
@@ -47,11 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serial; results are identical at any worker count)",
     )
     p.add_argument(
-        "--engine", choices=("auto", "event", "vector", "fused"), default="auto",
+        "--engine", choices=ENGINE_KINDS, default="auto",
         help="execution engine: 'auto' (default) vectorizes and fuses "
-        "eligible batches, 'event'/'vector' force one per-run engine, "
-        "'fused' forces cross-run fusion — results are bit-identical; "
-        "the footer reports which engine ran each batch",
+        "eligible batches, 'event' forces the per-event engine — results "
+        "are bit-identical; the footer reports which engine ran each batch",
     )
     p.add_argument(
         "--ledger", metavar="DIR", default=None,

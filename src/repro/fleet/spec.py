@@ -13,7 +13,7 @@ market" means: every service's run resolves the **identical** seeded
 trace catalog. :meth:`FleetSpec.run_specs` therefore pins every
 per-service :class:`~repro.runtime.RunSpec` to the fleet's seed, horizon,
 regions, and sizes — the runtime's catalog cache then serves one catalog
-to all N runs (one generation, shared-memory fan-out), and a price spike
+to all N runs (one generation, one published copy), and a price spike
 revokes every tenant bidding in that market at the same simulated
 instant. Heterogeneity lives entirely in the fields *outside* the
 catalog key: strategy, bidding, mechanism, startup jitter, disk

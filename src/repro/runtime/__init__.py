@@ -6,10 +6,9 @@ variant into a pickleable :class:`RunSpec`, a set of them into a
 :class:`BatchSpec`, and executes batches through :func:`run_batch` — serially
 by default (byte-for-byte reproducible ordering), or across worker processes
 with ``jobs > 1``. A per-process :class:`TraceCatalogCache` guarantees that
-N policies evaluated on one seed pay for a single trace-catalog build, the
-shared-memory plan (:mod:`repro.runtime.shm`) publishes each catalog's trace
-arrays once per batch so pool workers rehydrate zero-copy views instead of
-unpickling catalogs, and
+N policies evaluated on one seed pay for a single trace-catalog build, each
+catalog is published once per batch as a segment directory that pool
+workers memory-map instead of unpickling catalogs, and
 :class:`RunTelemetry` / :class:`BatchTelemetry` records surface wall-clock,
 events-processed, and cache-hit counters in experiment reports.
 """
@@ -23,13 +22,6 @@ from repro.runtime.ledger import (
     LedgerState,
     RunLedger,
     resolve_ledger_path,
-)
-from repro.runtime.shm import (
-    CatalogPlan,
-    attach_catalog,
-    publish_catalog,
-    release_segment,
-    shm_available,
 )
 from repro.runtime.spec import (
     BatchSpec,
@@ -53,7 +45,6 @@ __all__ = [
     "BatchTelemetry",
     "ENGINE_KINDS",
     "CatalogKey",
-    "CatalogPlan",
     "LEDGER_VERSION",
     "LedgerRecord",
     "LedgerState",
@@ -63,16 +54,12 @@ __all__ = [
     "StrategySpec",
     "TelemetryCollector",
     "TraceCatalogCache",
-    "attach_catalog",
     "batch_fingerprint",
     "collect_telemetry",
-    "publish_catalog",
     "register_strategy_kind",
-    "release_segment",
     "resolve_ledger_path",
     "run_batch",
     "shared_catalog_cache",
-    "shm_available",
     "spec_fingerprint",
     "strategy_kinds",
 ]

@@ -4,8 +4,10 @@
 and returns results **in submission order**, whatever the worker count —
 ``jobs=4`` is field-for-field identical to ``jobs=1`` because every run is
 fully determined by its spec (seed-derived RNG, deterministic catalog
-generation). Parallel execution groups runs by catalog key so each worker
-builds a given seed's catalog at most once, and non-portable runs (legacy
+generation). Parallel execution fans out per run: the parent spills each
+unique generated catalog once per batch into a temporary segment
+directory (:func:`publish_catalog`), pool workers memory-map it, and the
+directory is removed when the batch ends. Non-portable runs (legacy
 closure factories) transparently fall back to in-process execution.
 
 Engine routing (``engine=``): ``"auto"`` runs a spec on the vectorized
@@ -13,36 +15,30 @@ batch engine exactly when it is eligible — vectorizable strategy and
 bidding policy, no fault plan, no trace capture, no run ledger — and on
 the per-event engine otherwise; results are bit-identical either way, the
 vector engine just skips the no-action boundary machinery. ``"event"``
-forces the per-event engine; ``"vector"`` requests the vector engine for
-every run best-effort (a run whose configuration cannot be batched still
-degrades to per-event inside the scheduler). A batch with a ``ledger``
-always runs per-event so journal replays stay comparable across versions.
-Which engine actually ran each spec is reported as
+forces the per-event engine, the scalar reference every other path is
+tested against. Which engine actually ran each spec is reported as
 :attr:`~repro.runtime.telemetry.RunTelemetry.engine_kind`.
 
-On the serial path, vector-routed runs are additionally *deduplicated*:
-two specs whose catalogs, strategies, seeds and bidding **dynamics** are
-identical (e.g. proactive bids that all clamp at the provider's cap)
-drive byte-identical simulations, so the executor runs one representative
-and clones its result for the twins — reported as ``deduped_runs``.
-
-Under ``"auto"`` (and the explicit ``"fused"`` selector) the serial path
-goes one step further and *fuses* the runs that do execute: dedupe keys
-are capability-projected (:func:`repro.runtime.fused.fused_dedupe_key` —
-parameters a strategy provably never reads are dropped, collapsing more
-twins), and the surviving vector-routed runs of each catalog group share
-one :class:`~repro.runtime.fused.FusedScanContext`, so every boundary
-scan window over a given trace timeline is materialised once for the
-whole group instead of once per run. ``"vector"`` deliberately skips
-both — it is the unfused per-run reference path the fused engine is
-tested against. Fusion is reported as ``fused_groups``/``fused_runs``.
+On the serial path, vector-routed runs are additionally *deduplicated*
+and *fused*. Two specs whose catalogs, strategies, seeds and
+capability-projected bidding dynamics are identical
+(:func:`repro.runtime.fused.dedupe_key`) drive byte-identical
+simulations, so the executor runs one representative and clones its
+result for the twins — reported as ``deduped_runs``. The runs that do
+execute share one :class:`~repro.runtime.fused.FusedScanContext` per
+catalog group, so every boundary scan window over a given trace timeline
+is materialised once for the whole group instead of once per run —
+reported as ``fused_groups``/``fused_runs``.
 """
 
 from __future__ import annotations
 
 import atexit
 import dataclasses
+import functools
 import os
+import shutil
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -51,21 +47,15 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.results import SimulationResult
-from repro.errors import ConfigurationError, LedgerError, WorkerCrashError
+from repro.errors import ConfigurationError, LedgerError, TraceFormatError, WorkerCrashError
 from repro.obs.capture import notify_run, trace_capture_active
 from repro.obs.sinks import NULL_SINK, MemorySink, TraceSink
 from repro.runtime.cache import TraceCatalogCache, shared_catalog_cache
 from repro.runtime.ledger import RunLedger, resolve_ledger_path
-from repro.runtime.shm import publish_catalog, release_segment, shm_available
-from repro.runtime.spec import (
-    BatchSpec,
-    RunSpec,
-    StrategySpec,
-    batch_fingerprint,
-    spec_fingerprint,
-)
+from repro.runtime.spec import BatchSpec, RunSpec, batch_fingerprint, spec_fingerprint
 from repro.runtime.telemetry import BatchTelemetry, RunTelemetry, notify_batch
 from repro.runtime.vector import ENGINE_KINDS, spec_vector_eligible
+from repro.traces.catalog import TraceCatalog
 
 __all__ = ["BatchResult", "run_batch"]
 
@@ -100,7 +90,7 @@ def _attempt_one(
     """One execution attempt of one spec (no retry handling).
 
     ``prebuilt`` is ``(catalog, source)`` when the caller already resolved
-    the catalog (the shared-memory worker path); otherwise the catalog is
+    the catalog (the pool-worker path); otherwise the catalog is
     resolved through ``cache``. ``fused`` is the run's fusion group's
     shared :class:`~repro.runtime.fused.FusedScanContext`, if any.
     ``notes``, when given, receives execution by-products that don't
@@ -170,8 +160,10 @@ def _execute_one(
     engine: str = "event",
     fused: Optional[object] = None,
     notes: Optional[dict] = None,
+    prebuilt: Optional[Tuple[object, str]] = None,
 ) -> Tuple[SimulationResult, RunTelemetry]:
-    """Run one spec with retry/backoff, resolving its catalog via ``cache``.
+    """Run one spec with retry/backoff, resolving its catalog via ``cache``
+    unless the caller passes it ``prebuilt``.
 
     A crashed attempt (injected :class:`~repro.errors.WorkerCrashError` or
     any organic exception) is retried up to ``retries`` times with
@@ -182,7 +174,7 @@ def _execute_one(
     for attempt in range(retries + 1):
         try:
             return _attempt_one(
-                spec, cache, attempt, engine=engine, fused=fused, notes=notes
+                spec, cache, attempt, prebuilt, engine=engine, fused=fused, notes=notes
             )
         except Exception:
             if attempt >= retries:
@@ -192,81 +184,56 @@ def _execute_one(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _execute_group(
-    specs: Tuple[RunSpec, ...],
-    retries: int = DEFAULT_RETRIES,
-    retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
-    engines: Optional[Tuple[str, ...]] = None,
-) -> List[Tuple[SimulationResult, RunTelemetry]]:
-    """Pool-worker entry point: run a catalog-sharing group serially."""
-    cache = shared_catalog_cache()
-    if engines is None:
-        engines = ("event",) * len(specs)
-    return [
-        _execute_one(spec, cache, retries, retry_backoff_s, engine)
-        for spec, engine in zip(specs, engines)
-    ]
+def publish_catalog(catalog: TraceCatalog, spill_dir: Path) -> str:
+    """The segment directory pool workers map ``catalog`` from.
+
+    A catalog loaded from an ingested segment directory ships its own
+    ``source``. A generated one is spilled into a fresh subdirectory of
+    ``spill_dir``, the batch's temporary directory.
+    """
+    if catalog.source is not None:
+        return catalog.source
+    from repro.traces.ingest import write_segment_catalog
+
+    return str(write_segment_catalog(tempfile.mkdtemp(dir=spill_dir), catalog))
 
 
-def _execute_one_shm(
+@functools.lru_cache(maxsize=8)
+def _mapped_catalog(directory: str, key: object) -> TraceCatalog:
+    """Per-process cache of mapped catalogs, so a worker executing many
+    runs against one catalog maps (and validates) its directory once.
+
+    ``key`` is the runs' catalog key: it makes the cache entry specific to
+    the catalog, so a temporary directory name reused by a later batch
+    can never serve a different catalog's traces.
+    """
+    from repro.traces.ingest import load_segment_catalog
+
+    return load_segment_catalog(directory)
+
+
+def _execute_mapped(
     spec: RunSpec,
-    plan,
+    directory: Optional[str],
     retries: int = DEFAULT_RETRIES,
     retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
     engine: str = "event",
-) -> List[Tuple[SimulationResult, RunTelemetry]]:
-    """Pool-worker entry point: one run against a shared-memory catalog plan.
+) -> Tuple[SimulationResult, RunTelemetry]:
+    """Pool-worker entry point: one run against a published catalog.
 
-    The catalog is rehydrated as zero-copy views over the published
-    segment (cached per segment within the worker); if attaching fails for
-    any reason the worker quietly builds the catalog through its own
-    process cache instead — same results, just slower.
+    If the directory cannot be mapped (it vanished, or the parent could
+    not spill it) the worker builds the catalog through its own process
+    cache instead — same results, just slower.
     """
-    from repro.runtime.shm import attach_catalog
-
     prebuilt: Optional[Tuple[object, str]] = None
-    try:
-        prebuilt = (attach_catalog(plan), "shm")
-    except Exception:
-        prebuilt = None
-    cache = None if prebuilt is not None else shared_catalog_cache()
-    for attempt in range(retries + 1):
+    if directory is not None:
         try:
-            return [_attempt_one(spec, cache, attempt, prebuilt=prebuilt, engine=engine)]
-        except Exception:
-            if attempt >= retries:
-                raise
-            if retry_backoff_s > 0:
-                time.sleep(retry_backoff_s * (2**attempt))
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
-def _publish_plans(
-    cache: Optional[TraceCatalogCache], keys: Sequence[object]
-) -> Tuple[Dict[object, object], List[object]]:
-    """Publish each unique catalog once to shared memory.
-
-    Returns ``({key: plan}, [segment handles])``; empty when shared memory
-    is unavailable (or disabled via ``REPRO_SHM=0``) or publishing fails,
-    in which case the caller uses the grouped pickling path instead.
-    """
-    if cache is None or not keys or not shm_available():
-        return {}, []
-    plans: Dict[object, object] = {}
-    segments: List[object] = []
-    try:
-        for key in keys:
-            if key in plans:
-                continue
-            catalog, _, _ = cache.get_or_build(key)  # type: ignore[arg-type]
-            plan, segment = publish_catalog(catalog)
-            plans[key] = plan
-            segments.append(segment)
-    except Exception:
-        for segment in segments:
-            release_segment(segment)
-        return {}, []
-    return plans, segments
+            prebuilt = (_mapped_catalog(directory, spec.catalog_key()), "map")
+        except (OSError, TraceFormatError):
+            prebuilt = None
+    return _execute_one(
+        spec, shared_catalog_cache(), retries, retry_backoff_s, engine, prebuilt=prebuilt
+    )
 
 
 def _resolve_engine(spec: RunSpec, engine: str, ledgered: bool) -> str:
@@ -274,72 +241,13 @@ def _resolve_engine(spec: RunSpec, engine: str, ledgered: bool) -> str:
 
     A ledgered batch always runs per-event (journal replays must stay
     comparable across package versions regardless of routing defaults).
-    ``"vector"`` and ``"fused"`` are best-effort forces: every run is
-    routed to the vector engine, which itself still degrades to
-    per-event when the configuration cannot be batched (the two differ
-    only at the batch level — ``"fused"`` additionally shares scan work
-    across the group, ``"vector"`` keeps runs independent).
     Under ``"auto"``, faulted and trace-capturing runs stay on the event
     engine — fault overlays and narration want the per-boundary walk —
     and everything else goes to the vector engine when eligible.
     """
-    if engine == "event" or ledgered:
-        return "event"
-    if engine in ("vector", "fused"):
-        return "vector"
-    if spec.faults is not None or spec.capture_trace:
+    if engine == "event" or ledgered or spec.faults is not None or spec.capture_trace:
         return "event"
     return "vector" if spec_vector_eligible(spec) else "event"
-
-
-def _dedupe_key(spec: RunSpec) -> Optional[tuple]:
-    """Hashable dynamics identity of one vector-routed spec, or ``None``.
-
-    Two specs with equal keys configure byte-identical simulations up to
-    the result label: same catalog (seed, horizon, markets, calibration),
-    same declarative strategy, same mechanism timing, same startup
-    distribution — and a bidding policy whose
-    :meth:`~repro.core.bidding.BiddingPolicy.dynamics_signature` matches,
-    i.e. the *effective* bids and migration thresholds coincide (e.g.
-    proactive ``k`` values that all clamp at the provider's bid cap).
-    Anything the signature cannot vouch for (calibration overrides that
-    could move on-demand prices, stateful policies, legacy strategy
-    callables, faults, capture) disables deduplication for that spec.
-    """
-    if spec.capture_trace or spec.faults is not None or spec.calibrations is not None:
-        return None
-    if not isinstance(spec.strategy, StrategySpec):
-        return None
-    sig_fn = getattr(spec.bidding, "dynamics_signature", None)
-    if not callable(sig_fn):
-        return None
-    catalog_key = spec.catalog_key()
-    if catalog_key is None:
-        return None
-    try:
-        from repro.traces.calibration import on_demand_price
-
-        ods = tuple(
-            on_demand_price(region, size)
-            for region in spec.regions
-            for size in spec.sizes
-        )
-        sig = sig_fn(ods)
-        if sig is None:
-            return None
-        key = (
-            catalog_key,
-            spec.strategy,
-            spec.mechanism,
-            spec.params,
-            float(spec.startup_cv),
-            float(spec.service_disk_gib),
-            sig,
-        )
-        hash(key)
-    except Exception:
-        return None
-    return key
 
 
 # One persistent pool per worker count: reusing workers across batches keeps
@@ -440,17 +348,14 @@ def run_batch(
         ``"auto"`` (default) routes each eligible run — vectorizable
         policies, no faults, no trace capture, no ledger — through the
         vectorized batch engine (with serial-path cross-run fusion) and
-        the rest per-event; ``"event"`` and ``"vector"`` force one
-        engine batch-wide (``"vector"`` is best-effort — non-batchable
-        configurations still degrade to per-event inside the scheduler —
-        and stays unfused, as the per-run reference path); ``"fused"``
-        is ``"vector"`` routing plus the cross-run fusion layer.
-        Results are bit-identical across engines; each run's
+        the rest per-event; ``"event"`` forces the per-event engine
+        batch-wide. Results are bit-identical across engines; each run's
         :class:`RunTelemetry.engine_kind` reports which one executed it.
     jobs:
         Worker processes. ``1`` (the default) runs serially in-process;
-        ``N > 1`` fans catalog-sharing groups of runs across ``N`` workers.
-        Results are identical either way.
+        ``N > 1`` fans runs across ``N`` workers, which map each catalog
+        from a segment directory the batch publishes once. Results are
+        identical either way.
     cache:
         Trace-catalog cache for the serial path (defaults to this
         process's shared cache). Workers always use their process cache.
@@ -539,34 +444,16 @@ def run_batch(
     try:
         if jobs == 1 or len(pending) <= 1:
             # Serial path: dedupe vector-routed runs with identical
-            # dynamics. The first spec of each group (submission order) is
-            # its representative; twins complete as soon as it has, so the
+            # dynamics and share boundary-scan contexts per catalog group.
+            # The first spec of each twin group (submission order) is its
+            # representative; twins complete as soon as it has, so the
             # progress callback still fires in submission order.
-            twin_of: Dict[int, int] = {}
-            context_of: Dict[int, object] = {}
-            fusion_active = engine in ("auto", "fused")
-            if fusion_active:
-                # Cross-run fusion: capability-projected dedupe plus shared
-                # boundary-scan contexts per catalog group. Forced
-                # ``"vector"`` keeps the plain unfused reference path.
-                from repro.runtime.fused import band_matches, plan_fusion, rank_projection
+            from repro.runtime.fused import band_matches, plan_fusion, rank_projection
 
-                plan = plan_fusion(specs, pending, engines)
-                twin_of = plan.twin_of
-                context_of = dict(plan.context_of)
-                fused_groups = plan.groups
-            else:
-                rep_of: Dict[tuple, int] = {}
-                for i in pending:
-                    if engines[i] != "vector":
-                        continue
-                    key = _dedupe_key(specs[i])
-                    if key is None:
-                        continue
-                    if key in rep_of:
-                        twin_of[i] = rep_of[key]
-                    else:
-                        rep_of[key] = i
+            plan = plan_fusion(specs, pending, engines)
+            twin_of = plan.twin_of
+            context_of = dict(plan.context_of)
+            fused_groups = plan.groups
             # Second dedupe tier, catalog-aware: once a run's catalog is in
             # the cache, bidding thresholds can be *rank-projected* against
             # the trace's price ladder — thresholds in the same gap between
@@ -591,7 +478,7 @@ def run_batch(
                     # `fused_runs` can never double-count.
                     assert i not in context_of
                 rkey = reverse = None
-                if rep is None and fusion_active and engines[i] == "vector":
+                if rep is None and engines[i] == "vector":
                     ck = specs[i].catalog_key()
                     catalog = cache.peek(ck) if ck is not None else None
                     if catalog is not None:
@@ -623,7 +510,7 @@ def run_batch(
                             notes=notes,
                         ),
                     )
-                    if fusion_active and engines[i] == "vector" and rkey is None:
+                    if engines[i] == "vector" and rkey is None:
                         # This run built its catalog: project its key now
                         # so later threshold-equivalent specs clone it.
                         ck = specs[i].catalog_key()
@@ -675,22 +562,29 @@ def run_batch(
                 else:
                     portable.append((i, key))
             pool = _get_pool(jobs)
-
-            # Preferred plan: publish each unique catalog to shared memory
-            # once and fan out PER RUN — workers rehydrate zero-copy views,
-            # so runs sharing a catalog no longer have to share a worker and
-            # a batch of V variants over S seeds parallelises V×S wide
-            # instead of S wide.
-            plans, segments = _publish_plans(cache, [k for _, k in portable])
-            shm_catalogs = len(plans)
-            if plans:
+            # Publish each unique catalog once, then fan out PER RUN: every
+            # worker maps the same segment files, so runs sharing a catalog
+            # need not share a worker. The spill directory lives until every
+            # future has resolved or the batch aborts.
+            spill_dir = Path(tempfile.mkdtemp(prefix="repro-catalogs-"))
+            try:
+                directories: Dict[object, Optional[str]] = {}
+                for _, key in portable:
+                    if key in directories:
+                        continue
+                    catalog, _, _ = cache.get_or_build(key)  # type: ignore[arg-type]
+                    try:
+                        directories[key] = publish_catalog(catalog, spill_dir)
+                        shm_catalogs += 1
+                    except OSError:
+                        directories[key] = None  # workers build it locally
                 futures = [
                     (
-                        [i],
+                        i,
                         pool.submit(
-                            _execute_one_shm,
+                            _execute_mapped,
                             specs[i],
-                            plans[key],
+                            directories[key],
                             retries,
                             retry_backoff_s,
                             engines[i],
@@ -698,51 +592,24 @@ def run_batch(
                     )
                     for i, key in portable
                 ]
-            else:
-                # Fallback: group portable runs by catalog key so one worker
-                # builds each catalog once; groups keep first-appearance order.
-                groups: Dict[object, List[int]] = {}
-                for i, key in portable:
-                    groups.setdefault(key, []).append(i)
-                futures = [
-                    (
-                        indices,
-                        pool.submit(
-                            _execute_group,
-                            tuple(specs[i] for i in indices),
-                            retries,
-                            retry_backoff_s,
-                            tuple(engines[i] for i in indices),
-                        ),
+                # Non-portable runs execute in-process while the pool churns.
+                for i in local:
+                    _complete(
+                        i, _execute_one(specs[i], cache, retries, retry_backoff_s, engines[i])
                     )
-                    for indices in groups.values()
-                ]
-            # Non-portable runs execute in-process while the pool churns.
-            for i in local:
-                _complete(
-                    i, _execute_one(specs[i], cache, retries, retry_backoff_s, engines[i])
-                )
-            try:
-                for indices, future in futures:
+                for i, future in futures:
                     try:
-                        group_pairs = future.result()
+                        pair = future.result()
                     except BrokenProcessPool:
                         # The pool died (hard worker crash, OOM kill, ...).
                         # Discard it and fall back to in-process execution for
-                        # these runs — results are identical, only slower.
+                        # this run — results are identical, only slower.
                         _discard_pool(jobs)
-                        group_pairs = [
-                            _execute_one(specs[i], cache, retries, retry_backoff_s, engines[i])
-                            for i in indices
-                        ]
-                    for i, pair in zip(indices, group_pairs):
-                        _complete(i, pair)
-                        parallel_runs += 1
+                        pair = _execute_one(specs[i], cache, retries, retry_backoff_s, engines[i])
+                    _complete(i, pair)
+                    parallel_runs += 1
             finally:
-                # Every future has resolved (or the batch is aborting): the
-                # segments can go — attached workers keep their mappings.
-                for segment in segments:
-                    release_segment(segment)
+                shutil.rmtree(spill_dir, ignore_errors=True)
     finally:
         if journal is not None:
             journal.close()

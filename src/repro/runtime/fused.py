@@ -7,8 +7,8 @@ them re-derived the identical ``anchor + k·3600 − lead`` check instants
 and re-bisected the identical compiled-trace price tables. This module
 removes that cross-run redundancy without touching a single decision:
 
-* :func:`fused_dedupe_key` extends PR 6's dynamics-signature dedupe with
-  *capability-aware projection*: a strategy that can never leave spot
+* :func:`dedupe_key` is the batch's one dynamics identity: the bidding
+  policy's dynamics signature plus *capability-aware projection*: a strategy that can never leave spot
   never evaluates the bidding policy's reverse threshold, and an
   on-demand-only strategy never evaluates bids at all — so the projected
   key drops exactly the parameters the scheduler provably never reads,
@@ -28,9 +28,9 @@ removes that cross-run redundancy without touching a single decision:
   path.
 
 Everything here is an optimisation layer over the per-run engines;
-``--engine fused`` therefore inherits the vector engine's bit-identity
-contract, enforced by the golden corpus and the fused==vector==event
-hypothesis property in ``tests/runtime/test_fused_engine.py``.
+``--engine auto`` therefore inherits the vector engine's bit-identity
+contract, enforced by the golden corpus and the fused==event hypothesis
+property in ``tests/runtime/test_fused_engine.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
     "FusedScanContext",
     "FusionPlan",
     "band_matches",
-    "fused_dedupe_key",
+    "dedupe_key",
     "plan_fusion",
     "rank_projection",
 ]
@@ -187,13 +187,14 @@ class FusionPlan:
         return self
 
 
-def fused_dedupe_key(spec) -> Optional[tuple]:
+def dedupe_key(spec) -> Optional[tuple]:
     """Capability-projected dynamics identity of one spec, or ``None``.
 
-    Starts from the same guards as the executor's plain
-    ``_dedupe_key`` — no faults, no capture, no calibration overrides, a
-    declarative :class:`~repro.runtime.spec.StrategySpec`, a resolvable
-    catalog key, a bidding policy with a dynamics signature — then
+    Guards first — no faults, no capture, no calibration overrides (they
+    could move on-demand prices), a declarative
+    :class:`~repro.runtime.spec.StrategySpec`, a resolvable catalog key, a
+    bidding policy with a
+    :meth:`~repro.core.bidding.BiddingPolicy.dynamics_signature` — then
     projects the signature down to the components the strategy can
     actually evaluate, using the policy's structured
     ``dynamics_components`` split (absent method ⇒ no projection, plain
@@ -259,7 +260,7 @@ def fused_dedupe_key(spec) -> Optional[tuple]:
 def rank_projection(
     spec, catalog, ladders: Dict[tuple, np.ndarray]
 ) -> Optional[Tuple[tuple, Optional[Dict[Tuple[str, str], float]]]]:
-    """Catalog-aware refinement of :func:`fused_dedupe_key`, or ``None``.
+    """Catalog-aware refinement of :func:`dedupe_key`, or ``None``.
 
     A bidding policy's parameters reach the simulation *only* as
     thresholds in ``price <= x`` / ``price > x`` comparisons against a
@@ -288,7 +289,7 @@ def rank_projection(
     equality (see :func:`band_matches`).
 
     Requires the spec's catalog (the ladder is trace-derived), the same
-    guards as :func:`fused_dedupe_key`, and a bidding policy exposing
+    guards as :func:`dedupe_key`, and a bidding policy exposing
     numeric ``*_thresholds`` in ``dynamics_components``. ``ladders`` is
     the caller's memo of sorted unique price arrays, keyed
     ``(catalog_key, region, size)``.
@@ -411,7 +412,7 @@ def plan_fusion(
         if engines[i] != "vector":
             continue
         spec = specs[i]
-        key = fused_dedupe_key(spec)
+        key = dedupe_key(spec)
         if key is not None:
             rep = rep_of.get(key)
             if rep is not None:

@@ -32,9 +32,9 @@ class RunTelemetry:
     catalog_wall_s: float = 0.0  #: catalog build time (0 on a cache hit)
     catalog_cache_hit: bool = False
     #: How the run's catalog was resolved: ``"build"`` (generated here),
-    #: ``"cache"`` (process-cache hit), ``"shm"`` (zero-copy views over a
-    #: shared-memory plan published by the batch parent), or ``""`` when
-    #: the run carried no resolvable catalog key.
+    #: ``"cache"`` (process-cache hit), ``"map"`` (memory-mapped from the
+    #: segment directory the batch parent published), or ``""`` when the
+    #: run carried no resolvable catalog key.
     catalog_source: str = ""
     worker_pid: int = 0  #: executing process (parent pid when serial)
     #: Execution attempts consumed (1 = first try succeeded; > 1 means the
@@ -52,8 +52,8 @@ class RunTelemetry:
     replayed: bool = False
     #: Which engine actually executed the run: ``"event"`` (per-event
     #: loop) or ``"vector"`` (batched boundary scans). Reports the engine
-    #: that *ran*, not the one requested — a forced-vector run whose
-    #: configuration was not vectorizable reports ``"event"``.
+    #: that *ran*, not the one requested — a vector-routed run whose
+    #: configuration could not be batched reports ``"event"``.
     engine_kind: str = "event"
     #: Boundary-check instants the vector engine evaluated as array scans
     #: (its batch width for this run); 0 on the event engine.
@@ -82,7 +82,9 @@ class BatchTelemetry:
     events_processed: int
     jobs: int = 1  #: worker processes requested
     parallel_runs: int = 0  #: runs executed in pool workers
-    shm_catalogs: int = 0  #: catalogs published as shared-memory plans
+    #: catalogs published to the pool as segment directories (the name
+    #: predates the segment transport)
+    shm_catalogs: int = 0
     resumed: bool = False  #: batch was resumed from a run ledger
     replayed_runs: int = 0  #: runs replayed from the ledger, not executed
     engine: str = "auto"  #: the requested ``--engine`` selector
@@ -102,7 +104,7 @@ class BatchTelemetry:
             f"{self.catalog_cache_hits} cache hits, jobs={self.jobs}"
         )
         if self.shm_catalogs:
-            base += f", {self.shm_catalogs} shm catalogs"
+            base += f", {self.shm_catalogs} published catalogs"
         if self.replayed_runs:
             base += f", {self.replayed_runs} replayed"
         if self.vector_runs:
@@ -178,7 +180,7 @@ class TelemetryCollector:
             f"{self.cache_hits} cache hits, jobs={self.jobs}"
         )
         if self.shm_catalogs:
-            base += f", {self.shm_catalogs} shm catalogs"
+            base += f", {self.shm_catalogs} published catalogs"
         if self.replayed_runs:
             base += f", {self.replayed_runs} replayed"
         if self.vector_runs:

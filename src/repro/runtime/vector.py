@@ -72,8 +72,9 @@ __all__ = [
     "spec_vector_eligible",
 ]
 
-#: Valid values of the ``--engine`` selector.
-ENGINE_KINDS = ("auto", "event", "vector", "fused")
+#: Valid values of the ``--engine`` selector: ``auto`` runs eligible runs
+#: on the vector engine with cross-run fusion, ``event`` forces per-event.
+ENGINE_KINDS = ("auto", "event")
 
 
 def policies_vectorizable(strategy: object, bidding: object) -> bool:

@@ -26,6 +26,7 @@ from repro.traces.ingest import (
     load_segment_catalog,
     read_segment,
     write_segment,
+    write_segment_catalog,
 )
 from repro.traces.refit import (
     fit_catalog,
@@ -64,6 +65,7 @@ __all__ = [
     "load_segment_catalog",
     "read_segment",
     "write_segment",
+    "write_segment_catalog",
     "fit_catalog",
     "fit_market",
     "load_calibrations",

@@ -20,8 +20,11 @@ This module is the production path:
 * :func:`load_segment_catalog` memory-maps every segment back into a
   :class:`~repro.traces.catalog.TraceCatalog` without copying a byte —
   the stored bounds array is adopted by the compiled query plan, and the
-  catalog's ``source`` attribute lets :mod:`repro.runtime.shm` fan the
-  directory path out to workers instead of republishing trace bytes.
+  catalog's ``source`` attribute lets the batch executor fan the
+  directory path out to pool workers instead of republishing trace bytes;
+* :func:`write_segment_catalog` is its inverse: it writes any in-memory
+  catalog as a segment directory (the executor spills generated catalogs
+  this way so every pool worker maps one copy).
 
 Query results over an mmap-loaded catalog are bit-identical to the
 CSV→in-memory path (``tests/traces/test_ingest.py`` enforces this with
@@ -72,6 +75,7 @@ __all__ = [
     "read_segment",
     "ingest_archive",
     "load_segment_catalog",
+    "write_segment_catalog",
 ]
 
 SEGMENT_MAGIC = b"REPROSEG"
@@ -391,16 +395,14 @@ def ingest_archive(
         except OSError:  # pragma: no cover - non-empty on a hard failure
             pass
 
-    manifest = {
-        "format": "repro-segment-dir",
-        "version": SEGMENT_VERSION,
-        "horizon": final_horizon,
-        "epoch_offset": offset,
-        "records": total,
-        "duplicates_dropped": dup_dropped,
-        "markets": manifest_markets,
-    }
-    (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(
+        out,
+        final_horizon,
+        manifest_markets,
+        epoch_offset=offset,
+        records=total,
+        duplicates_dropped=dup_dropped,
+    )
     return IngestReport(
         out_dir=str(out),
         n_markets=len(manifest_markets),
@@ -413,13 +415,54 @@ def ingest_archive(
     )
 
 
+def _write_manifest(out: Path, horizon: float, markets: List[dict], **extra) -> None:
+    manifest = {
+        "format": "repro-segment-dir",
+        "version": SEGMENT_VERSION,
+        "horizon": horizon,
+        "markets": markets,
+        **extra,
+    }
+    (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def write_segment_catalog(segment_dir: str | Path, catalog: TraceCatalog) -> Path:
+    """Write ``catalog`` as a segment directory; the inverse of
+    :func:`load_segment_catalog`.
+
+    One segment file per market plus the manifest, in the same format
+    :func:`ingest_archive` produces. ``segment_dir`` is created if needed.
+    Returns the directory.
+    """
+    out = Path(segment_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    markets = []
+    for key in catalog.markets():
+        trace = catalog.trace(key)
+        od = catalog.on_demand_price(key)
+        fname = f"{key.region}__{key.size}.seg"
+        write_segment(out / fname, trace, od)
+        markets.append(
+            {
+                "region": key.region,
+                "size": key.size,
+                "instance_type": trace.market,
+                "file": fname,
+                "n": len(trace),
+                "on_demand": od,
+            }
+        )
+    _write_manifest(out, catalog.horizon, markets)
+    return out
+
+
 def load_segment_catalog(segment_dir: str | Path) -> TraceCatalog:
     """Memory-map an ingested segment directory into a trace catalog.
 
     Every trace's arrays (and its compiled plan's bounds) are zero-copy
     views over the segment files; the returned catalog carries the
-    directory as its ``source`` so the shared-memory executor path can
-    ship the path instead of the bytes.
+    directory as its ``source`` so the batch executor can ship the path
+    to pool workers instead of the bytes.
     """
     seg_dir = Path(segment_dir)
     manifest_path = seg_dir / MANIFEST_NAME

@@ -66,6 +66,41 @@ def test_csv_replay(tmp_path, capsys):
     assert "single / proactive" in capsys.readouterr().out
 
 
+def test_csv_replay_auto_engine_vectorizes(tmp_path, capsys, monkeypatch):
+    """The default --engine auto replays on the vector scheduler and prints
+    exactly what --engine event prints."""
+    import contextlib
+
+    import repro.cli as cli
+    from repro.obs import observe
+
+    scopes = []
+
+    @contextlib.contextmanager
+    def recording_observe(**kwargs):
+        with observe(**kwargs) as scope:
+            scopes.append(scope)
+            yield scope
+
+    monkeypatch.setattr(cli, "observe", recording_observe)
+    trace = generate_trace(calibration_for("us-east-1a", "small"), days(7), seed=3)
+    path = tmp_path / "hist.csv"
+    save_aws_csv(trace, path, instance_type="m1.small", availability_zone="us-east-1a")
+    assert main(["--csv", str(path)]) == 0
+    auto_out = capsys.readouterr().out
+    assert [r.engine for r in scopes[-1].runs] == ["vector"]
+    assert main(["--csv", str(path), "--engine", "event"]) == 0
+    assert capsys.readouterr().out == auto_out
+    assert [r.engine for r in scopes[-1].runs] == ["event"]
+
+
+@pytest.mark.parametrize("engine", ["vector", "fused"])
+def test_parser_rejects_retired_engines(engine, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--engine", engine])
+    assert "'auto', 'event'" in capsys.readouterr().err
+
+
 def test_csv_rejected_for_multi_strategies(tmp_path, capsys):
     trace = generate_trace(calibration_for("us-east-1a", "small"), days(7), seed=3)
     path = tmp_path / "hist.csv"

@@ -70,6 +70,14 @@ class TestCli:
     def test_bad_jobs_exits_2(self, capsys):
         assert main(["tab2", "--fast", "--jobs", "0"]) == 2
 
+    @pytest.mark.parametrize("engine", ["vector", "fused"])
+    def test_retired_engines_rejected(self, engine, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--engine", engine])
+        assert "'auto', 'event'" in capsys.readouterr().err
+        with pytest.raises(ConfigurationError, match="auto, event"):
+            ExperimentConfig(engine=engine)
+
     def test_run_parallel_jobs(self, capsys):
         """The --jobs path produces the same report plus a telemetry footer."""
         assert main(["fig11", "--fast", "--jobs", "2"]) == 0

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.fleet.cli import main
 
 FAST = ["--fast", "--services", "4", "--days", "1"]
@@ -51,3 +53,10 @@ def test_error_exits(capsys):
     assert main(["--services", "0"]) == 2
     assert main([*FAST, "--resume"]) == 2  # --resume needs --ledger
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("engine", ["vector", "fused"])
+def test_retired_engines_rejected(engine, capsys):
+    with pytest.raises(SystemExit):
+        main([*FAST, "--engine", engine])
+    assert "'auto', 'event'" in capsys.readouterr().err

@@ -1,11 +1,11 @@
 """Cross-run fusion equivalence and accounting tests.
 
-The contract under test: ``engine="fused"`` (and the fusion tier inside
-``engine="auto"``) produces results byte-identical to per-run ``vector``
-and ``event`` execution on every batch it accepts — fusion and its two
-dedupe tiers (capability-projected static keys, observed reverse-band
-cloning) are pure execution optimizations — and the batch telemetry
-never double-counts a run as both deduped and fused.
+The contract under test: the fusion tier inside ``engine="auto"``
+produces results byte-identical to per-run ``event`` execution on every
+batch it accepts — fusion and its two dedupe tiers (capability-projected
+static keys, observed reverse-band cloning) are pure execution
+optimizations — and the batch telemetry never double-counts a run as both
+deduped and fused.
 """
 
 import dataclasses
@@ -50,12 +50,12 @@ def _results(specs, engine):
 # ------------------------------------------------------------ golden parity
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
 def test_fused_matches_event_on_golden_corpus(scenario):
-    """``--engine fused`` is byte-identical to ``event`` on every golden
-    scenario — including the ones whose policies degrade to per-event
-    execution under the fused selector."""
+    """``--engine auto`` is byte-identical to ``event`` on every golden
+    scenario — including the ones whose policies ``auto`` routes to
+    per-event execution."""
     config = scenario.config()
     event = run_simulation_observed(config)
-    fused = run_batch([RunSpec.from_config(scenario.config())], engine="fused")
+    fused = run_batch([RunSpec.from_config(scenario.config())], engine="auto")
     assert fused.results[0] == event.result
 
 
@@ -66,7 +66,7 @@ def test_fused_matches_event_on_fleet_golden():
 
     scenario = FLEET_SCENARIOS[0]
     event = run_fleet(scenario.spec(), engine="event")
-    fused = run_fleet(scenario.spec(), engine="fused")
+    fused = run_fleet(scenario.spec(), engine="auto")
     assert fused.to_json() == event.to_json()
 
 
@@ -105,9 +105,10 @@ _STRATEGIES = (
     ),
 )
 def test_fused_vector_event_equivalence(seed, ks, fracs, strategy_ids):
-    """``fused == vector == event`` over random mixed-strategy cohorts,
-    including the newly-vectorizable stability and index-tracking
-    families; fusion's dedupe tiers must be invisible in the results."""
+    """``auto`` (vector engine plus fusion) ``== event`` over random
+    mixed-strategy cohorts, including the vectorizable stability and
+    index-tracking families; fusion's dedupe tiers must be invisible in
+    the results."""
     specs = []
     for sid in strategy_ids:
         for k in ks:
@@ -128,10 +129,8 @@ def test_fused_vector_event_equivalence(seed, ks, fracs, strategy_ids):
                 label=f"s{sid}/reactive",
             )
         )
-    fused = _results(specs, "fused")
-    vector = _results(specs, "vector")
+    fused = _results(specs, "auto")
     event = _results(specs, "event")
-    assert fused == vector
     assert fused == event
 
 
@@ -154,7 +153,7 @@ def test_deduped_and_fused_never_double_count():
     totals (the dedupe-before-fusion ordering guard)."""
     specs = _frontier() + _frontier(seed=4)
     with collect_telemetry() as tel:
-        run_batch(specs, engine="fused", cache=_CACHE)
+        run_batch(specs, engine="auto", cache=_CACHE)
     (batch,) = tel.batches
     per_run = batch  # BatchTelemetry totals
     assert per_run.deduped_runs + per_run.fused_runs <= per_run.runs
@@ -165,7 +164,7 @@ def test_deduped_and_fused_never_double_count():
 def test_no_run_reports_both_deduped_and_fused():
     specs = _frontier()
     telemetry = []
-    run_batch(specs, engine="fused", cache=_CACHE, progress=telemetry.append)
+    run_batch(specs, engine="auto", cache=_CACHE, progress=telemetry.append)
     assert len(telemetry) == len(specs)
     for t in telemetry:
         assert not (t.deduped and t.fused), t.label
@@ -180,7 +179,7 @@ def test_static_twins_expand_after_fused_evaluation():
         _spec(bidding=ProactiveBidding(k=5.0), label="b"),
     ]
     telemetry = []
-    batch = run_batch(specs, engine="fused", cache=_CACHE, progress=telemetry.append)
+    batch = run_batch(specs, engine="auto", cache=_CACHE, progress=telemetry.append)
     a, b = batch.results
     assert dataclasses.replace(a, label="") == dataclasses.replace(b, label="")
     assert a.label == "a" and b.label == "b"
@@ -203,25 +202,15 @@ def test_reverse_band_tier_clones_undiscriminated_fracs():
         for f in fracs
     ]
     with collect_telemetry() as tel:
-        fused = _results(specs, "fused")
+        fused = _results(specs, "auto")
     assert tel.deduped_runs > 0, "band tier found no undiscriminated fracs"
     event = _results(specs, "event")
     assert fused == event
 
 
-def test_forced_vector_stays_unfused():
-    """``engine="vector"`` remains the unfused per-run reference path: no
-    fusion groups, no fused runs."""
-    with collect_telemetry() as tel:
-        run_batch(_frontier(), engine="vector", cache=_CACHE)
-    (batch,) = tel.batches
-    assert batch.fused_runs == 0
-    assert batch.fused_groups == 0
-    assert batch.vector_runs == len(_frontier())
-
-
 def test_batch_rejects_unknown_engine_with_choices():
     from repro.errors import ConfigurationError
 
-    with pytest.raises(ConfigurationError, match="auto, event, vector, fused"):
-        run_batch([_spec()], engine="bogus", cache=_CACHE)
+    for engine in ("bogus", "vector", "fused"):
+        with pytest.raises(ConfigurationError, match=r"\(choices: auto, event\)"):
+            run_batch([_spec()], engine=engine, cache=_CACHE)

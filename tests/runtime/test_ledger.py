@@ -392,10 +392,15 @@ def test_kill_orchestrator_then_resume_byte_identical(tmp_path, jobs):
     err_path = tmp_path / "stderr.txt"
     with open(err_path, "wb") as err:
         # No pipes: orphaned pool workers (jobs=4) inherit them and would
-        # keep a captured stderr open long after the SIGKILL.
+        # keep a captured stderr open long after the SIGKILL. TMPDIR keeps
+        # the killed batch's leftover catalog spill inside tmp_path.
         proc = subprocess.run(
             [sys.executable, "-c", _KILL_SCRIPT, str(led), str(jobs), "2"],
-            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[2] / "src")},
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(__file__).parents[2] / "src"),
+                "TMPDIR": str(tmp_path),
+            },
             stdout=subprocess.DEVNULL,
             stderr=err,
             timeout=300,

@@ -98,7 +98,7 @@ def test_vector_matches_event_property(seed, horizon_days, kind, region, size, b
         sizes=(size,) if kind != "multi-market" else ("small", "large"),
     )
     event = run_batch([spec], engine="event", cache=_CACHE)
-    vector = run_batch([spec], engine="vector", cache=_CACHE)
+    vector = run_batch([spec], engine="auto", cache=_CACHE)
     assert vector.results == event.results
     assert event.run_telemetry[0].engine_kind == "event"
     assert vector.run_telemetry[0].engine_kind == "vector"
@@ -148,21 +148,23 @@ def test_ledgered_batch_always_runs_per_event(tmp_path):
 
 def test_forced_vector_degrades_on_nonvectorizable_strategy():
     """NoFaultToleranceStrategy cannot batch (its recompute path only
-    exists in the event engine); forced vector still runs — per-event
+    exists in the event engine); a vector-engine run still runs — per-event
     inside the scheduler — and reports what actually happened."""
-    spec = _spec(strategy=StrategySpec.no_fault_tolerance(EAST_SMALL))
-    event = run_batch([spec], engine="event", cache=_CACHE)
-    vector = run_batch([spec], engine="vector", cache=_CACHE)
-    assert vector.run_telemetry[0].engine_kind == "event"
-    assert vector.run_telemetry[0].vector_checks == 0
-    assert vector.results == event.results
+    config = _spec(strategy=StrategySpec.no_fault_tolerance(EAST_SMALL)).to_config()
+    event = run_simulation_observed(config)
+    vector = run_simulation_observed(config, engine="vector")
+    assert vector.engine_kind == "event"
+    assert vector.vector_checks == 0
+    assert vector.result == event.result
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ConfigurationError):
-        run_batch([_spec()], engine="bogus", cache=_CACHE)
-    with pytest.raises(ConfigurationError):
-        run_simulation_observed(_spec().to_config(), engine="auto")
+    for engine in ("bogus", "vector", "fused"):
+        with pytest.raises(ConfigurationError, match="auto, event"):
+            run_batch([_spec()], engine=engine, cache=_CACHE)
+    for engine in ("auto", "fused"):
+        with pytest.raises(ConfigurationError):
+            run_simulation_observed(_spec().to_config(), engine=engine)
 
 
 # --------------------------------------------------------------------- dedupe

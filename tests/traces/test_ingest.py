@@ -374,7 +374,7 @@ def test_ingest_peak_memory_independent_of_archive_size(tmp_path):
 
 
 # ----------------------------------------- simulation-report identity (mmap)
-@pytest.mark.parametrize("engine", ["event", "vector", "fused"])
+@pytest.mark.parametrize("engine", ["event", "auto"])
 def test_mmap_catalog_report_identical_to_in_memory(tmp_path, engine):
     """A simulation off the mmap catalog produces a byte-identical report
     to the CSV -> in-memory path, on every engine."""
@@ -396,7 +396,8 @@ def test_mmap_catalog_report_identical_to_in_memory(tmp_path, engine):
     mem_catalog = TraceCatalog({key: mem_trace}, {key: 0.06}, horizon)
     mm_catalog = load_segment_catalog(tmp_path / "seg").restricted([key])
 
-    one_engine = "vector" if engine in ("vector", "fused") else "event"
+    # A single run has nothing to fuse: auto is the vector scheduler.
+    one_engine = "vector" if engine == "auto" else "event"
 
     def _run(catalog):
         cfg = SimulationConfig(
