@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.bidding import ProactiveBidding
-from repro.core.simulation import SimulationConfig, run_simulation
-from repro.core.strategies import SingleMarketStrategy
+from repro.core.simulation import run_simulation
+from repro.runtime.spec import RunSpec, StrategySpec
 from repro.simulator.engine import Engine
 from repro.traces.calibration import calibration_for
 from repro.traces.catalog import MarketKey, build_catalog
@@ -77,13 +77,13 @@ def test_bench_perf_mva_sweep(benchmark):
 @pytest.mark.benchmark(group="perf")
 def test_bench_perf_single_simulation(benchmark):
     """One full 30-day proactive single-market scheduler run."""
-    cfg = SimulationConfig(
-        strategy=lambda: SingleMarketStrategy(KEY),
+    spec = RunSpec(
+        strategy=StrategySpec.single(KEY),
         bidding=ProactiveBidding(),
         seed=7,
         horizon_s=days(30),
         regions=("us-east-1a",),
         sizes=("small",),
     )
-    result = benchmark(run_simulation, cfg)
+    result = benchmark(run_simulation, spec)
     assert result.duration_hours > 700

@@ -16,10 +16,9 @@ import sys
 from repro import (
     MarketKey,
     Mechanism,
-    OnDemandOnlyStrategy,
     ProactiveBidding,
-    SimulationConfig,
-    SingleMarketStrategy,
+    RunSpec,
+    StrategySpec,
     run_simulation,
 )
 from repro.units import days, fmt_duration, fmt_usd
@@ -37,8 +36,8 @@ def main() -> None:
     )
 
     ours = run_simulation(
-        SimulationConfig(
-            strategy=lambda: SingleMarketStrategy(key),
+        RunSpec(
+            strategy=StrategySpec.single(key),
             bidding=ProactiveBidding(k=4.0),
             mechanism=Mechanism.CKPT_LR_LIVE,
             label="spot-scheduler",
@@ -46,8 +45,8 @@ def main() -> None:
         )
     )
     baseline = run_simulation(
-        SimulationConfig(
-            strategy=lambda: OnDemandOnlyStrategy(key),
+        RunSpec(
+            strategy=StrategySpec.on_demand(key),
             label="on-demand-only",
             **base,
         )

@@ -25,8 +25,8 @@ from repro import (
     MarketKey,
     ProactiveBidding,
     ReactiveBidding,
-    SimulationConfig,
-    SingleMarketStrategy,
+    RunSpec,
+    StrategySpec,
     TraceCatalog,
     calibration_for,
     generate_trace,
@@ -60,15 +60,15 @@ def main() -> None:
 
     t = Table(headers=("policy", "norm cost %", "unavail %", "forced", "planned+rev"))
     for bidding in (ReactiveBidding(), ProactiveBidding()):
-        r = run_simulation(
-            SimulationConfig(
-                strategy=lambda: SingleMarketStrategy(key),
-                bidding=bidding,
-                catalog=catalog,
-                horizon_s=trace.horizon,
-                label=bidding.name,
-            )
+        spec = RunSpec(
+            strategy=StrategySpec.single(key),
+            bidding=bidding,
+            horizon_s=trace.horizon,
+            regions=(key.region,),
+            sizes=(key.size,),
+            label=bidding.name,
         )
+        r = run_simulation(spec, catalog=catalog)
         t.add_row(
             bidding.name,
             r.normalized_cost_percent,

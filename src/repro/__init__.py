@@ -12,13 +12,12 @@ four-nines target.
 Quick start::
 
     from repro import (
-        SimulationConfig, run_simulation, SingleMarketStrategy,
-        ProactiveBidding, MarketKey,
+        RunSpec, StrategySpec, run_simulation, ProactiveBidding, MarketKey,
     )
 
     key = MarketKey("us-east-1a", "small")
-    result = run_simulation(SimulationConfig(
-        strategy=lambda: SingleMarketStrategy(key),
+    result = run_simulation(RunSpec(
+        strategy=StrategySpec.single(key),
         bidding=ProactiveBidding(),
         regions=("us-east-1a",), sizes=("small",),
         seed=42,
@@ -55,7 +54,6 @@ from repro.core import (
     ProactiveBidding,
     PureSpotStrategy,
     ReactiveBidding,
-    SimulationConfig,
     SimulationResult,
     SingleMarketStrategy,
     StabilityAwareStrategy,
@@ -121,7 +119,6 @@ __all__ = [
     "ProactiveBidding",
     "PureSpotStrategy",
     "ReactiveBidding",
-    "SimulationConfig",
     "SimulationResult",
     "SingleMarketStrategy",
     "StabilityAwareStrategy",

@@ -45,7 +45,6 @@ from repro.core.elastic import DemandCurve, ElasticResult, ElasticSpotFleet
 from repro.core.results import SimulationResult, AggregateResult, aggregate
 from repro.core.simulation import (
     ObservedRun,
-    SimulationConfig,
     run_simulation,
     run_simulation_instrumented,
     run_simulation_observed,
@@ -88,7 +87,6 @@ __all__ = [
     "SimulationResult",
     "AggregateResult",
     "aggregate",
-    "SimulationConfig",
     "ObservedRun",
     "run_simulation",
     "run_many",

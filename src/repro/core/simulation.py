@@ -1,6 +1,7 @@
-"""One-call simulation facade: config in, results out.
+"""One-call simulation facade: run spec in, results out.
 
-:func:`run_simulation` builds the whole stack for one seed — trace catalog,
+:func:`run_simulation` builds the whole stack for one
+:class:`~repro.runtime.spec.RunSpec` — trace catalog,
 provider, scheduler — runs it to the horizon, and distils a
 :class:`~repro.core.results.SimulationResult`. :func:`run_many` repeats it
 over seeds, mirroring the paper's "different sample for each simulation
@@ -9,10 +10,10 @@ run" methodology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+import copy
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.bidding import BiddingPolicy, ProactiveBidding
 from repro.core.results import SimulationResult
 from repro.core.scheduler import CloudScheduler
 from repro.core.strategies import HostingStrategy
@@ -22,18 +23,14 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.simulator.engine import Engine
 from repro.simulator.rng import RngStreams
-from repro.traces.calibration import MarketCalibration, REGIONS, SIZES
 from repro.traces.catalog import TraceCatalog, build_catalog
-from repro.units import SECONDS_PER_HOUR, days
-from repro.vm.mechanisms import (
-    Mechanism,
-    MechanismParams,
-    MigrationModel,
-    TYPICAL_PARAMS,
-)
+from repro.units import SECONDS_PER_HOUR
+from repro.vm.mechanisms import MigrationModel
+
+if TYPE_CHECKING:  # repro.runtime builds on this module
+    from repro.runtime.spec import RunSpec
 
 __all__ = [
-    "SimulationConfig",
     "SimStack",
     "ObservedRun",
     "build_stack",
@@ -44,52 +41,11 @@ __all__ = [
     "run_many",
 ]
 
-#: Strategy factory: builds a fresh strategy per run (strategies are cheap
-#: and some hold per-run state in the future).
-StrategyFactory = Callable[[], HostingStrategy]
 
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Everything one scheduler run needs.
-
-    ``catalog`` may be supplied to reuse a pre-built trace set (e.g. to run
-    several policies on the *same* price sample, as the paper's policy
-    comparisons require); otherwise a catalog is generated from ``seed``.
-    """
-
-    strategy: StrategyFactory
-    bidding: BiddingPolicy = field(default_factory=ProactiveBidding)
-    mechanism: Mechanism = Mechanism.CKPT_LR_LIVE
-    params: MechanismParams = TYPICAL_PARAMS
-    seed: int = 0
-    horizon_s: float = days(30)
-    regions: tuple = REGIONS
-    sizes: tuple = SIZES
-    catalog: Optional[TraceCatalog] = None
-    calibrations: Optional[Mapping[tuple, MarketCalibration]] = None
-    startup_cv: float = 0.25
-    service_disk_gib: float = 2.0
-    label: str = ""
-    #: Optional :class:`repro.testkit.faults.FaultPlan` (duck-typed — any
-    #: object with ``apply_to_catalog``/``wrap_provider``). Applied while
-    #: building the stack: spikes overlay the catalog *before* the provider
-    #: sees it, so billing and bids both face the faulted prices.
-    faults: Optional[object] = None
-
-    def __post_init__(self) -> None:
-        if self.horizon_s <= SECONDS_PER_HOUR:
-            raise ConfigurationError("horizon must exceed one hour")
-
-    def with_(self, **kw) -> "SimulationConfig":
-        """A copy with fields replaced."""
-        return replace(self, **kw)
-
-
-def _result_label(config: SimulationConfig, strategy: HostingStrategy) -> str:
-    if config.label:
-        return config.label
-    return f"{config.bidding.name}/{config.mechanism.value}/{strategy!r}"
+def _result_label(spec: RunSpec, strategy: HostingStrategy) -> str:
+    if spec.label:
+        return spec.label
+    return f"{spec.bidding.name}/{spec.mechanism.value}/{strategy!r}"
 
 
 @dataclass(frozen=True)
@@ -125,7 +81,7 @@ class SimStack:
     :class:`~repro.core.results.SimulationResult`.
     """
 
-    config: SimulationConfig
+    spec: RunSpec
     catalog: TraceCatalog
     provider: CloudProvider
     engine: Engine
@@ -134,14 +90,22 @@ class SimStack:
 
 
 def build_stack(
-    config: SimulationConfig,
+    spec: RunSpec,
+    catalog: Optional[TraceCatalog] = None,
     sink: TraceSink = NULL_SINK,
     engine: str = "event",
     fused: Optional[object] = None,
 ) -> SimStack:
     """Assemble catalog, provider, engine and scheduler for one run.
 
-    If ``config.faults`` is set, its spikes are overlaid on the catalog
+    ``catalog`` reuses a pre-built trace set (e.g. to run several policies
+    on the *same* price sample); otherwise one is generated from the
+    spec's seed, horizon, markets and calibrations. The spec's bidding
+    policy is deep-copied, so stateful policies (e.g.
+    :class:`~repro.core.adaptive.AdaptiveBidding`'s per-market bid cache)
+    never carry state from one run into the next.
+
+    If ``spec.faults`` is set, its spikes are overlaid on the catalog
     before the provider is constructed (so billing sees the spiked
     prices) and its provider-level faults are applied before the
     scheduler takes the provider.
@@ -159,28 +123,27 @@ def build_stack(
     """
     if engine not in ("event", "vector"):
         raise ConfigurationError(f"unknown engine {engine!r} (want 'event' or 'vector')")
-    catalog = config.catalog
     if catalog is None:
         catalog = build_catalog(
-            seed=config.seed,
-            horizon=config.horizon_s,
-            regions=config.regions,
-            sizes=config.sizes,
-            calibrations=config.calibrations,
+            seed=spec.seed,
+            horizon=spec.horizon_s,
+            regions=spec.regions,
+            sizes=spec.sizes,
+            calibrations=spec.calibrations,
         )
-    faults = config.faults
+    faults = spec.faults
     if faults is not None:
         catalog = faults.apply_to_catalog(catalog)
-    streams = RngStreams(config.seed)
+    streams = RngStreams(spec.seed)
     provider = CloudProvider(
         catalog,
         rng=streams.get("provider/startup"),
-        startup_cv=config.startup_cv,
+        startup_cv=spec.startup_cv,
         sink=sink,
     )
     if faults is not None:
-        provider = faults.wrap_provider(provider, run_seed=config.seed)
-    strategy = config.strategy()
+        provider = faults.wrap_provider(provider, run_seed=spec.seed)
+    strategy = spec.strategy.build()
     scheduler_cls = CloudScheduler
     extra = {}
     if engine == "vector":
@@ -194,17 +157,17 @@ def build_stack(
     scheduler = scheduler_cls(
         engine=sim_engine,
         provider=provider,
-        bidding=config.bidding,
+        bidding=copy.deepcopy(spec.bidding),
         strategy=strategy,
-        migration_model=MigrationModel(config.mechanism, config.params),
+        migration_model=MigrationModel(spec.mechanism, spec.params),
         rng=streams.get("scheduler/jitter"),
-        horizon=config.horizon_s,
-        service_disk_gib=config.service_disk_gib,
+        horizon=spec.horizon_s,
+        service_disk_gib=spec.service_disk_gib,
         sink=sink,
         **extra,
     )
     return SimStack(
-        config=config,
+        spec=spec,
         catalog=catalog,
         provider=provider,
         engine=sim_engine,
@@ -216,7 +179,7 @@ def build_stack(
 def summarize_stack(stack: SimStack) -> SimulationResult:
     """Distil a completed stack into a :class:`SimulationResult` and set
     the summary gauges on the scheduler's metric registry."""
-    config = stack.config
+    spec = stack.spec
     scheduler = stack.scheduler
     avail = scheduler.availability
     ledger = scheduler.ledger
@@ -232,8 +195,8 @@ def summarize_stack(stack: SimStack) -> SimulationResult:
     for iv in avail.downtime:
         by_cause[iv.cause] = by_cause.get(iv.cause, 0.0) + iv.duration
     result = SimulationResult(
-        label=_result_label(config, stack.strategy),
-        seed=config.seed,
+        label=_result_label(spec, stack.strategy),
+        seed=spec.seed,
         duration_hours=duration_h,
         total_cost=ledger.total,
         baseline_cost=baseline_cost,
@@ -261,27 +224,29 @@ def summarize_stack(stack: SimStack) -> SimulationResult:
     return result
 
 
-def run_simulation(config: SimulationConfig, verify: bool = False) -> SimulationResult:
+def run_simulation(
+    spec: RunSpec, catalog: Optional[TraceCatalog] = None, verify: bool = False
+) -> SimulationResult:
     """Run one seeded scheduler simulation and summarise it.
 
-    ``verify=True`` runs the :mod:`repro.testkit.oracles` conservation
-    checks after the run and raises
-    :class:`~repro.errors.InvariantViolation` if any fail.
+    ``catalog`` optionally supplies a pre-built trace set (see
+    :func:`build_stack`). ``verify=True`` runs the
+    :mod:`repro.testkit.oracles` conservation checks after the run and
+    raises :class:`~repro.errors.InvariantViolation` if any fail.
     """
-    return run_simulation_observed(config, verify=verify).result
+    return run_simulation_observed(spec, catalog, verify=verify).result
 
 
-def run_simulation_instrumented(
-    config: SimulationConfig,
-) -> tuple[SimulationResult, int]:
+def run_simulation_instrumented(spec: RunSpec) -> tuple[SimulationResult, int]:
     """Like :func:`run_simulation`, also returning the engine's fired-event
     count (the runtime layer's events-processed telemetry)."""
-    observed = run_simulation_observed(config)
+    observed = run_simulation_observed(spec)
     return observed.result, observed.fired_events
 
 
 def run_simulation_observed(
-    config: SimulationConfig,
+    spec: RunSpec,
+    catalog: Optional[TraceCatalog] = None,
     sink: TraceSink = NULL_SINK,
     verify: bool = False,
     engine: str = "event",
@@ -289,17 +254,18 @@ def run_simulation_observed(
 ) -> ObservedRun:
     """Run one simulation with decision tracing and metrics attached.
 
-    ``sink`` receives every :mod:`repro.obs` trace event the stack emits
-    (engine, provider, scheduler); the default null sink costs one branch
-    per emission site, so results are identical whether or not anyone is
-    listening. The returned :class:`ObservedRun` carries the scheduler's
-    metric registry alongside the usual summary. ``verify=True`` audits
-    the completed stack with the invariant oracles and raises
-    :class:`~repro.errors.InvariantViolation` on any red check.
+    ``catalog`` optionally supplies a pre-built trace set (see
+    :func:`build_stack`). ``sink`` receives every :mod:`repro.obs` trace
+    event the stack emits (engine, provider, scheduler); the default null
+    sink costs one branch per emission site, so results are identical
+    whether or not anyone is listening. The returned :class:`ObservedRun`
+    carries the scheduler's metric registry alongside the usual summary.
+    ``verify=True`` audits the completed stack with the invariant oracles
+    and raises :class:`~repro.errors.InvariantViolation` on any red check.
     ``engine`` selects the execution engine (see :func:`build_stack`);
     the returned run's ``engine_kind`` reports which one actually ran.
     """
-    stack = build_stack(config, sink=sink, engine=engine, fused=fused)
+    stack = build_stack(spec, catalog, sink=sink, engine=engine, fused=fused)
     stack.scheduler.run()
     result = summarize_stack(stack)
     if verify:
@@ -319,29 +285,29 @@ def run_simulation_observed(
 
 
 def run_many(
-    config: SimulationConfig,
+    spec: RunSpec,
     seeds: List[int],
     jobs: int = 1,
     ledger: Optional[object] = None,
     resume: bool = False,
     engine: str = "auto",
 ) -> List[SimulationResult]:
-    """Run the same configuration over several trace samples.
+    """Run the same spec over several trace samples.
 
     A thin wrapper over :func:`repro.runtime.run_batch`: each seed becomes
-    a :class:`~repro.runtime.RunSpec` (any attached catalog is dropped —
-    every seed gets its own sample, served through the runtime's catalog
-    cache). ``jobs > 1`` fans the seeds across worker processes with
-    results in seed order, identical to the serial run. ``ledger`` /
-    ``resume`` journal completed seeds to a crash-safe run ledger and
-    replay them on restart (see :mod:`repro.runtime.ledger`).
+    a copy of ``spec`` with that seed, so every seed gets its own sample,
+    served through the runtime's catalog cache. ``jobs > 1`` fans the
+    seeds across worker processes with results in seed order, identical
+    to the serial run. ``ledger`` / ``resume`` journal completed seeds to
+    a crash-safe run ledger and replay them on restart (see
+    :mod:`repro.runtime.ledger`).
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
     # Imported lazily: repro.runtime builds on this module.
-    from repro.runtime import RunSpec, run_batch
+    from repro.runtime import run_batch
 
-    specs = [RunSpec.from_config(config, seed=s) for s in seeds]
+    specs = [spec.with_(seed=s) for s in seeds]
     return list(
         run_batch(specs, jobs=jobs, ledger=ledger, resume=resume, engine=engine).results
     )

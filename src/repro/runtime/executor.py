@@ -7,8 +7,9 @@ fully determined by its spec (seed-derived RNG, deterministic catalog
 generation). Parallel execution fans out per run: the parent spills each
 unique generated catalog once per batch into a temporary segment
 directory (:func:`publish_catalog`), pool workers memory-map it, and the
-directory is removed when the batch ends. Non-portable runs (legacy
-closure factories) transparently fall back to in-process execution.
+directory is removed when the batch ends. Runs that cannot cross a
+process boundary (unhashable calibration overrides, unpicklable fault
+plans) transparently execute in-process.
 
 Engine routing (``engine=``): ``"auto"`` runs a spec on the vectorized
 batch engine exactly when it is eligible — vectorizable strategy and
@@ -121,7 +122,7 @@ def _attempt_one(
             source = "cache" if cache_hit else "build"
     sink: TraceSink = MemorySink() if spec.capture_trace else NULL_SINK
     observed = run_simulation_observed(
-        spec.to_config(catalog=catalog), sink=sink, engine=engine, fused=fused
+        spec, catalog, sink=sink, engine=engine, fused=fused
     )
     result = observed.result
     if notes is not None:

@@ -191,8 +191,7 @@ def dedupe_key(spec) -> Optional[tuple]:
     """Capability-projected dynamics identity of one spec, or ``None``.
 
     Guards first — no faults, no capture, no calibration overrides (they
-    could move on-demand prices), a declarative
-    :class:`~repro.runtime.spec.StrategySpec`, a resolvable catalog key, a
+    could move on-demand prices), a resolvable catalog key, a
     bidding policy with a
     :meth:`~repro.core.bidding.BiddingPolicy.dynamics_signature` — then
     projects the signature down to the components the strategy can
@@ -213,10 +212,6 @@ def dedupe_key(spec) -> Optional[tuple]:
     """
     if spec.capture_trace or spec.faults is not None or spec.calibrations is not None:
         return None
-    from repro.runtime.spec import StrategySpec
-
-    if not isinstance(spec.strategy, StrategySpec):
-        return None
     sig_fn = getattr(spec.bidding, "dynamics_signature", None)
     if not callable(sig_fn):
         return None
@@ -236,7 +231,7 @@ def dedupe_key(spec) -> Optional[tuple]:
             return None
         comp_fn = getattr(spec.bidding, "dynamics_components", None)
         if callable(comp_fn):
-            strategy = spec.strategy()
+            strategy = spec.strategy.build()
             comp = comp_fn(ods)
             if not getattr(strategy, "allows_spot", True):
                 sig = (comp["name"], "od-only")
@@ -296,10 +291,6 @@ def rank_projection(
     """
     if spec.capture_trace or spec.faults is not None or spec.calibrations is not None:
         return None
-    from repro.runtime.spec import StrategySpec
-
-    if not isinstance(spec.strategy, StrategySpec):
-        return None
     comp_fn = getattr(spec.bidding, "dynamics_components", None)
     if not callable(comp_fn):
         return None
@@ -331,7 +322,7 @@ def rank_projection(
                 out.append(bisect.bisect_right(ladder, value))
             return tuple(out)
 
-        strategy = spec.strategy()
+        strategy = spec.strategy.build()
         reverse: Optional[Dict[Tuple[str, str], float]] = None
         if not getattr(strategy, "allows_spot", True):
             sig = (comp["name"], "od-only")

@@ -2,7 +2,7 @@
 
 A :class:`StrategySpec` names a registered strategy kind plus its
 constructor arguments, so a strategy can be rebuilt on the far side of a
-process boundary (closures cannot cross one). A :class:`RunSpec` bundles a
+process boundary and fingerprinted by content. A :class:`RunSpec` bundles a
 strategy spec with the bidding policy, mechanism, market subset, and seed —
 everything :func:`repro.core.simulation.run_simulation` needs — and a
 :class:`BatchSpec` is an ordered set of runs executed together so they can
@@ -11,14 +11,13 @@ share trace catalogs.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import enum
 import hashlib
 import json
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
 
 from repro.core import registry as _registry
 from repro.core.bidding import BiddingPolicy, ProactiveBidding
@@ -26,7 +25,7 @@ from repro.core.strategies import HostingStrategy
 from repro.errors import ConfigurationError
 from repro.traces.calibration import REGIONS, SIZES
 from repro.traces.catalog import MarketKey
-from repro.units import days
+from repro.units import SECONDS_PER_HOUR, days
 from repro.vm.mechanisms import Mechanism, MechanismParams, TYPICAL_PARAMS
 
 __all__ = [
@@ -45,11 +44,13 @@ def _canonical(obj: Any) -> Any:
 
     The reduction is *structural*: dataclasses become ``[module-qualified
     class name, {field: value}]``, enums their module-qualified class +
-    value, mappings sorted key/value lists, and callables their
-    module-qualified name. Two objects reduce to the
+    value, and mappings sorted key/value lists. Two objects reduce to the
     same form iff they would configure a simulation identically, which is
     what the run ledger's fingerprints need — no pickle bytes (unstable
-    across interpreter versions), no ``id()``s, no dict ordering.
+    across interpreter versions), no ``id()``s, no dict ordering. Anything
+    else, callables included, raises
+    :class:`~repro.errors.ConfigurationError`: a function's name does not
+    say what it builds, so two different closures would collide.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -57,7 +58,7 @@ def _canonical(obj: Any) -> Any:
         # repr round-trips exactly; JSON uses the same shortest form.
         return obj
     if isinstance(obj, enum.Enum):
-        # Module-qualified, like callables below: two same-named enums from
+        # Module-qualified, like dataclasses: two same-named enums from
         # different modules must not fingerprint identically.
         cls = type(obj)
         return ["enum", f"{cls.__module__}.{cls.__qualname__}", _canonical(obj.value)]
@@ -83,13 +84,6 @@ def _canonical(obj: Any) -> Any:
             continue
         if type(cast)(obj) == cast:
             return cast
-    if callable(obj):
-        # Legacy factory callables: identified by qualified name only (two
-        # distinct closures with one name collide — RunSpec.is_portable()
-        # already steers ledgered batches towards declarative specs).
-        mod = getattr(obj, "__module__", "?")
-        qual = getattr(obj, "__qualname__", repr(type(obj).__name__))
-        return ["callable", mod, qual]
     raise ConfigurationError(
         f"cannot fingerprint {type(obj).__name__!r} value {obj!r}"
     )
@@ -154,9 +148,9 @@ def strategy_kinds() -> list[str]:
 class StrategySpec:
     """A strategy by name plus constructor arguments — hashable, pickleable.
 
-    Calling the spec builds a fresh strategy, so a ``StrategySpec`` is a
-    drop-in :data:`~repro.core.simulation.StrategyFactory` that also
-    survives pickling (unlike the lambdas it replaces).
+    :meth:`build` constructs a fresh strategy. New strategy classes become
+    nameable through :func:`register_strategy_kind` (or the
+    ``@register_strategy`` decorator).
     """
 
     kind: str
@@ -255,33 +249,23 @@ class StrategySpec:
         """Construct a fresh strategy instance."""
         return _registry.strategy_builder(self.kind)(*self.args, **dict(self.options))
 
-    def __call__(self) -> HostingStrategy:
-        return self.build()
-
     def __repr__(self) -> str:  # pragma: no cover
         opts = ", ".join(f"{k}={v!r}" for k, v in self.options)
         parts = ", ".join(filter(None, [", ".join(map(repr, self.args)), opts]))
         return f"StrategySpec({self.kind}: {parts})"
 
 
-#: Anything that builds a strategy: a declarative spec or a legacy factory
-#: callable (the latter cannot cross process boundaries).
-StrategyLike = Union[StrategySpec, Callable[[], HostingStrategy]]
-
-
 @dataclass(frozen=True)
 class RunSpec:
-    """One scheduler run, declaratively: the pickleable sibling of
-    :class:`~repro.core.simulation.SimulationConfig`.
+    """One scheduler run, declaratively — the only run description.
 
-    Unlike ``SimulationConfig`` it never holds a live catalog — the
-    executor resolves one through the trace-catalog cache — and its
-    ``strategy`` should be a :class:`StrategySpec` so the run can be
-    shipped to a worker process (a plain factory callable is accepted but
-    forces in-process execution).
+    It never holds a live catalog: batches resolve one through the
+    trace-catalog cache, and a single run may be handed a pre-built one
+    (``run_simulation(spec, catalog=...)``) to run several policies on the
+    *same* price sample, as the paper's policy comparisons require.
     """
 
-    strategy: StrategyLike
+    strategy: StrategySpec
     bidding: BiddingPolicy = field(default_factory=ProactiveBidding)
     mechanism: Mechanism = Mechanism.CKPT_LR_LIVE
     params: MechanismParams = TYPICAL_PARAMS
@@ -296,64 +280,29 @@ class RunSpec:
     #: Optional :class:`repro.testkit.faults.FaultPlan`. Frozen and
     #: pickleable, so faulted runs cross the process pool unchanged —
     #: a stormed batch is byte-identical at any ``jobs`` value. The fault
-    #: overlay is applied per run *after* catalog-cache resolution, so the
-    #: cache only ever holds clean base catalogs.
+    #: overlay is applied per run *after* catalog resolution (spikes
+    #: overlay the catalog before the provider sees it), so the cache only
+    #: ever holds clean base catalogs.
     faults: Optional[Any] = None
     #: Capture :mod:`repro.obs` trace events during execution and return
     #: them on the run's telemetry (set automatically by ``run_batch`` when
     #: an ``observe(trace=True)`` scope is active). Does not affect results.
     capture_trace: bool = False
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.strategy, StrategySpec):
+            raise ConfigurationError(
+                f"RunSpec.strategy must be a StrategySpec, not "
+                f"{type(self.strategy).__name__}; register the strategy class "
+                "with register_strategy_kind() and name it with "
+                "StrategySpec.of(kind, ...)"
+            )
+        if self.horizon_s <= SECONDS_PER_HOUR:
+            raise ConfigurationError("horizon must exceed one hour")
+
     def with_(self, **kw) -> "RunSpec":
         """A copy with fields replaced."""
         return replace(self, **kw)
-
-    @classmethod
-    def from_config(cls, config, seed: Optional[int] = None) -> "RunSpec":
-        """Lift a :class:`SimulationConfig` into a spec (drops any attached
-        catalog — the runtime re-resolves catalogs through its cache)."""
-        return cls(
-            strategy=config.strategy,
-            bidding=config.bidding,
-            mechanism=config.mechanism,
-            params=config.params,
-            seed=config.seed if seed is None else seed,
-            horizon_s=config.horizon_s,
-            regions=tuple(config.regions),
-            sizes=tuple(config.sizes),
-            calibrations=config.calibrations,
-            startup_cv=config.startup_cv,
-            service_disk_gib=config.service_disk_gib,
-            label=config.label,
-            faults=getattr(config, "faults", None),
-        )
-
-    def to_config(self, catalog=None):
-        """Materialise the :class:`SimulationConfig` for this run.
-
-        The bidding policy is deep-copied so stateful policies (e.g.
-        :class:`~repro.core.adaptive.AdaptiveBidding`'s per-market bid
-        cache) never leak state between runs — each run sees exactly what
-        it would have seen in its own process.
-        """
-        from repro.core.simulation import SimulationConfig
-
-        return SimulationConfig(
-            strategy=self.strategy,
-            bidding=copy.deepcopy(self.bidding),
-            mechanism=self.mechanism,
-            params=self.params,
-            seed=self.seed,
-            horizon_s=self.horizon_s,
-            regions=tuple(self.regions),
-            sizes=tuple(self.sizes),
-            catalog=catalog,
-            calibrations=self.calibrations,
-            startup_cv=self.startup_cv,
-            service_disk_gib=self.service_disk_gib,
-            label=self.label,
-            faults=self.faults,
-        )
 
     def catalog_key(self):
         """The trace-catalog cache key for this run, or ``None`` when the
@@ -382,8 +331,6 @@ class RunSpec:
 
     def is_portable(self) -> bool:
         """Can this spec cross a process boundary?"""
-        if not isinstance(self.strategy, StrategySpec):
-            return False
         try:
             pickle.dumps(self)
         except Exception:

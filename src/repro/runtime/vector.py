@@ -98,18 +98,14 @@ def spec_vector_eligible(spec: object) -> bool:
     engine at all (capability check only — the executor layers its own
     routing policy for faults/capture/ledger on top)?
 
-    Building the strategy to inspect its flag is safe: factories build a
+    Building the strategy to inspect its flag is safe: a spec builds a
     fresh instance per call and strategies are cheap by contract.
     """
-    factory = getattr(spec, "strategy", None)
-    bidding = getattr(spec, "bidding", None)
-    if factory is None or bidding is None:
-        return False
     try:
-        strategy = factory()
+        strategy = spec.strategy.build()
     except Exception:
         return False
-    return policies_vectorizable(strategy, bidding)
+    return policies_vectorizable(strategy, spec.bidding)
 
 
 class VectorScheduler(CloudScheduler):

@@ -9,7 +9,6 @@ makes the hostile regimes first-class:
   fault schedule (revocation storms, correlated multi-market spikes,
   delayed/failed checkpoint writes, stretched disk copies and startups,
   worker-process crashes) that rides a
-  :class:`~repro.core.simulation.SimulationConfig` /
   :class:`~repro.runtime.spec.RunSpec` across process boundaries;
 * :mod:`repro.testkit.oracles` — post-run conservation checks (billing,
   availability, metrics/results agreement, lease hygiene) runnable after

@@ -231,11 +231,10 @@ def _overlay(trace: PriceTrace, windows: list) -> PriceTrace:
 class FaultPlan:
     """A reproducible fault schedule for one simulation run.
 
-    Attach a plan via ``SimulationConfig(..., faults=plan)`` (or
-    ``RunSpec(..., faults=plan)``); the stack builder overlays the spikes
-    onto the trace catalog and wraps the provider before the scheduler
-    ever sees either. All fields have inert defaults — an empty plan is a
-    no-op.
+    Attach a plan via ``RunSpec(..., faults=plan)``; the stack builder
+    overlays the spikes onto the trace catalog and wraps the provider
+    before the scheduler ever sees either. All fields have inert
+    defaults — an empty plan is a no-op.
     """
 
     #: Seed for the plan's own randomness (storm schedules, checkpoint

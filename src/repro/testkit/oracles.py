@@ -19,7 +19,7 @@ Each oracle audits one conservation law of the completed
 * **determinism** — equal seeds and equal ``jobs`` produce byte-identical
   reports (:func:`check_rerun_determinism`, :func:`check_jobs_determinism`).
 
-Run them via ``run_simulation(config, verify=True)``, :func:`run_verified`,
+Run them via ``run_simulation(spec, verify=True)``, :func:`run_verified`,
 or the ``repro-verify`` CLI.
 """
 
@@ -284,16 +284,16 @@ def verify_stack(stack, result) -> OracleReport:
 
 
 # ------------------------------------------------------------------ entry points
-def run_verified(config, sink=None):
+def run_verified(spec, sink=None):
     """Run one simulation and audit it; returns ``(ObservedRun, OracleReport)``.
 
-    Unlike ``run_simulation(config, verify=True)`` this never raises on a
+    Unlike ``run_simulation(spec, verify=True)`` this never raises on a
     red check — callers inspect (or render) the report themselves.
     """
     from repro.core.simulation import ObservedRun, build_stack, summarize_stack
     from repro.obs.sinks import NULL_SINK
 
-    stack = build_stack(config, sink=sink if sink is not None else NULL_SINK)
+    stack = build_stack(spec, sink=sink if sink is not None else NULL_SINK)
     stack.scheduler.run()
     result = summarize_stack(stack)
     report = verify_stack(stack, result)
@@ -305,8 +305,8 @@ def run_verified(config, sink=None):
     return observed, report
 
 
-def check_rerun_determinism(config, report: Optional[OracleReport] = None) -> OracleReport:
-    """Run ``config`` twice and check the reports are byte-identical.
+def check_rerun_determinism(spec, report: Optional[OracleReport] = None) -> OracleReport:
+    """Run ``spec`` twice and check the reports are byte-identical.
 
     Results are compared field-for-field (dataclass equality — exact float
     equality, not tolerance) and the metric registries via their dict
@@ -315,23 +315,23 @@ def check_rerun_determinism(config, report: Optional[OracleReport] = None) -> Or
     from repro.core.simulation import run_simulation_observed
 
     report = report if report is not None else OracleReport()
-    first = run_simulation_observed(config)
-    second = run_simulation_observed(config)
+    first = run_simulation_observed(spec)
+    second = run_simulation_observed(spec)
     report.add(
         "determinism.rerun-results",
         first.result == second.result,
-        f"seed {config.seed}",
+        f"seed {spec.seed}",
     )
     report.add(
         "determinism.rerun-metrics",
         first.metrics.to_dict() == second.metrics.to_dict(),
-        f"seed {config.seed}",
+        f"seed {spec.seed}",
     )
     return report
 
 
 def check_jobs_determinism(
-    config,
+    spec,
     seeds: Sequence[int],
     jobs: int = 4,
     report: Optional[OracleReport] = None,
@@ -340,8 +340,8 @@ def check_jobs_determinism(
     from repro.core.simulation import run_many
 
     report = report if report is not None else OracleReport()
-    serial = run_many(config, list(seeds), jobs=1)
-    parallel = run_many(config, list(seeds), jobs=jobs)
+    serial = run_many(spec, list(seeds), jobs=1)
+    parallel = run_many(spec, list(seeds), jobs=jobs)
     mismatches = [
         f"seed {s}" for s, a, b in zip(seeds, serial, parallel) if a != b
     ]

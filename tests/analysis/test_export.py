@@ -14,9 +14,9 @@ from repro.analysis.export import (
     trace_to_json,
 )
 from repro.analysis.report import ExperimentReport
-from repro.core.simulation import SimulationConfig, run_many
-from repro.core.strategies import SingleMarketStrategy
+from repro.core.simulation import run_many
 from repro.errors import ConfigurationError
+from repro.runtime.spec import RunSpec, StrategySpec
 from repro.traces.catalog import MarketKey
 from repro.traces.trace import PriceTrace
 from repro.units import days
@@ -26,12 +26,12 @@ KEY = MarketKey("us-east-1a", "small")
 
 @pytest.fixture(scope="module")
 def results():
-    cfg = SimulationConfig(
-        strategy=lambda: SingleMarketStrategy(KEY),
+    spec = RunSpec(
+        strategy=StrategySpec.single(KEY),
         regions=("us-east-1a",), sizes=("small",),
         horizon_s=days(7), label="export-test",
     )
-    return run_many(cfg, [1, 2])
+    return run_many(spec, [1, 2])
 
 
 def test_result_to_dict_fields(results):

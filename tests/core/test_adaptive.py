@@ -5,9 +5,9 @@ import pytest
 
 from repro.cloud.spot_market import SpotMarket
 from repro.core.adaptive import AdaptiveBidding
-from repro.core.simulation import SimulationConfig, run_simulation
-from repro.core.strategies import SingleMarketStrategy
+from repro.core.simulation import run_simulation
 from repro.errors import ConfigurationError
+from repro.runtime.spec import RunSpec, StrategySpec
 from repro.traces.catalog import MarketKey, TraceCatalog, build_catalog
 from repro.traces.trace import PriceTrace
 from repro.units import days, hours
@@ -102,8 +102,8 @@ class TestBidSelection:
 class TestInScheduler:
     def test_full_simulation_runs(self):
         key = MarketKey("us-east-1a", "small")
-        r = run_simulation(SimulationConfig(
-            strategy=lambda: SingleMarketStrategy(key),
+        r = run_simulation(RunSpec(
+            strategy=StrategySpec.single(key),
             bidding=AdaptiveBidding(max_revocations_per_month=2.0),
             seed=5, horizon_s=days(14),
             regions=("us-east-1a",), sizes=("small",),
@@ -112,17 +112,39 @@ class TestInScheduler:
         assert r.normalized_cost_percent < 60
         assert r.unavailability_percent < 0.1
 
+    def test_shared_policy_does_not_leak_between_runs(self):
+        """A spec reused across seeds runs each seed as if fresh: the
+        bid cache belongs to one run's copy of the policy, never to the
+        caller's instance, whose cached seed-3 bids would change seed 4's
+        cost."""
+        key = MarketKey("us-east-1a", "small")
+        shared = AdaptiveBidding(max_revocations_per_month=2.0)
+        spec = RunSpec(
+            strategy=StrategySpec.single(key),
+            bidding=shared,
+            horizon_s=days(14),
+            regions=("us-east-1a",), sizes=("small",),
+        )
+        run_simulation(spec.with_(seed=3))
+        reused = run_simulation(spec.with_(seed=4))
+        fresh = run_simulation(
+            spec.with_(seed=4, bidding=AdaptiveBidding(max_revocations_per_month=2.0))
+        )
+        assert reused == fresh
+        assert reused.total_cost == pytest.approx(5.5033, abs=1e-4)
+        assert shared._cache == {}
+
     def test_calm_world_low_bid_same_availability(self):
         """In a deterministic calm market the adaptive bidder bids near
         on-demand yet is never revoked — budget met with minimal exposure."""
         key = MarketKey("us-east-1a", "small")
         horizon = days(14)
         cat = TraceCatalog({key: calm_trace(horizon)}, {key: OD}, horizon)
-        r = run_simulation(SimulationConfig(
-            strategy=lambda: SingleMarketStrategy(key),
+        r = run_simulation(RunSpec(
+            strategy=StrategySpec.single(key),
             bidding=AdaptiveBidding(max_revocations_per_month=2.0),
-            catalog=cat, horizon_s=horizon,
+            horizon_s=horizon,
             regions=("us-east-1a",), sizes=("small",), label="adaptive-calm",
-        ))
+        ), catalog=cat)
         assert r.forced_migrations == 0
         assert r.unavailability_percent == 0.0

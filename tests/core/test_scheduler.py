@@ -370,10 +370,11 @@ class TestPlacementTimeline:
         assert all(r.kind == "on_demand" for r in sch.placement_log)
 
     def test_result_carries_fraction(self):
-        from repro.core.simulation import SimulationConfig, run_simulation
+        from repro.core.simulation import run_simulation
+        from repro.runtime.spec import RunSpec, StrategySpec
         from repro.units import days as _days
-        r = run_simulation(SimulationConfig(
-            strategy=lambda: SingleMarketStrategy(SMALL),
+        r = run_simulation(RunSpec(
+            strategy=StrategySpec.single(SMALL),
             regions=("us-east-1a",), sizes=("small",),
             horizon_s=_days(7), seed=3,
         ))

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.core.bidding import ReactiveBidding
-from repro.core.simulation import (
-    SimulationConfig,
-    run_simulation,
-    run_simulation_observed,
-)
-from repro.core.strategies import SingleMarketStrategy
+from repro.core.simulation import run_simulation, run_simulation_observed
 from repro.obs import MemorySink, event_from_dict
+from repro.runtime.spec import RunSpec, StrategySpec
 from repro.traces.catalog import MarketKey
 from repro.units import days
 
@@ -18,14 +14,14 @@ KEY = MarketKey("us-east-1a", "small")
 
 def cfg(**kw):
     base = dict(
-        strategy=lambda: SingleMarketStrategy(KEY),
+        strategy=StrategySpec.single(KEY),
         regions=("us-east-1a",),
         sizes=("small",),
         horizon_s=days(5),
         seed=23,
     )
     base.update(kw)
-    return SimulationConfig(**base)
+    return RunSpec(**base)
 
 
 class TestEmission:

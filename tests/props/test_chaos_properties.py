@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from repro.cloud.spot_market import BID_CAP_MULTIPLIER
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
-from repro.core.simulation import SimulationConfig, build_stack, summarize_stack
-from repro.runtime.spec import StrategySpec
+from repro.core.simulation import build_stack, summarize_stack
+from repro.runtime.spec import RunSpec, StrategySpec
 from repro.testkit.oracles import verify_stack
 from repro.testkit.strategies import fault_plans
 from repro.traces.catalog import MarketKey
@@ -45,7 +45,7 @@ def build_config(seed, plan, policy):
         strategy = StrategySpec.single(KEY)
         bidding = ProactiveBidding()
     sizes = ("small", "medium", "large", "xlarge") if policy == "multi" else ("small",)
-    return SimulationConfig(
+    return RunSpec(
         strategy=strategy,
         bidding=bidding,
         seed=seed,

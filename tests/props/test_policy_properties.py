@@ -20,9 +20,9 @@ from scipy.optimize import linprog
 from repro.cloud.provider import CloudProvider
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.policies import IndexTrackingStrategy, solve_portfolio_lp
-from repro.core.simulation import SimulationConfig, build_stack, summarize_stack
+from repro.core.simulation import build_stack, summarize_stack
 from repro.obs import CheckpointRestore, CheckpointWrite, MemorySink, Revocation
-from repro.runtime.spec import StrategySpec
+from repro.runtime.spec import RunSpec, StrategySpec
 from repro.testkit.faults import FaultPlan
 from repro.testkit.strategies import risk_estimates, tracking_bands
 from repro.traces.catalog import MarketKey, build_catalog
@@ -150,7 +150,7 @@ def test_no_ft_never_pays_revoked_partial_hour(seed, spike_start_h):
     """A correlated spike revokes the no-FT tenant; every revoked partial
     hour bills zero, no on-demand server is ever bought, and the
     checkpoint machinery stays cold."""
-    cfg = SimulationConfig(
+    spec = RunSpec(
         strategy=StrategySpec.no_fault_tolerance(MarketKey("us-east-1a", "small")),
         bidding=ReactiveBidding(),
         seed=seed,
@@ -161,7 +161,7 @@ def test_no_ft_never_pays_revoked_partial_hour(seed, spike_start_h):
         label="props/no-ft",
     )
     sink = MemorySink()
-    stack = build_stack(cfg, sink=sink)
+    stack = build_stack(spec, sink=sink)
     stack.scheduler.run()
     summarize_stack(stack)
 

@@ -10,12 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
-from repro.core.simulation import SimulationConfig, run_simulation
-from repro.core.strategies import (
-    MultiMarketStrategy,
-    PureSpotStrategy,
-    SingleMarketStrategy,
-)
+from repro.core.simulation import run_simulation
+from repro.runtime.spec import RunSpec, StrategySpec
 from repro.testkit.strategies import worlds
 from repro.traces.catalog import MarketKey
 from repro.units import days
@@ -25,19 +21,19 @@ KEY = MarketKey("us-east-1a", "small")
 
 def build_config(seed, cal, policy):
     if policy == "pure-spot":
-        strategy = lambda: PureSpotStrategy(KEY)
+        strategy = StrategySpec.pure_spot(KEY)
         bidding = ReactiveBidding()
     elif policy == "reactive":
-        strategy = lambda: SingleMarketStrategy(KEY)
+        strategy = StrategySpec.single(KEY)
         bidding = ReactiveBidding()
     elif policy == "multi":
-        strategy = lambda: MultiMarketStrategy("us-east-1a", service_units=2)
+        strategy = StrategySpec.multi_market("us-east-1a", service_units=2)
         bidding = ProactiveBidding()
     else:
-        strategy = lambda: SingleMarketStrategy(KEY)
+        strategy = StrategySpec.single(KEY)
         bidding = ProactiveBidding()
     sizes = ("small", "medium", "large", "xlarge") if policy == "multi" else ("small",)
-    return SimulationConfig(
+    return RunSpec(
         strategy=strategy,
         bidding=bidding,
         seed=seed,
@@ -86,16 +82,10 @@ def test_proactive_never_noticeably_more_unavailable_than_reactive(seed):
     from repro.traces.catalog import build_catalog
 
     cat = build_catalog(seed=seed, horizon=days(7), regions=("us-east-1a",), sizes=("small",))
-    pro = run_simulation(
-        SimulationConfig(
-            strategy=lambda: SingleMarketStrategy(KEY), bidding=ProactiveBidding(),
-            catalog=cat, horizon_s=days(7), regions=("us-east-1a",), sizes=("small",),
-        )
+    spec = RunSpec(
+        strategy=StrategySpec.single(KEY),
+        horizon_s=days(7), regions=("us-east-1a",), sizes=("small",),
     )
-    rea = run_simulation(
-        SimulationConfig(
-            strategy=lambda: SingleMarketStrategy(KEY), bidding=ReactiveBidding(),
-            catalog=cat, horizon_s=days(7), regions=("us-east-1a",), sizes=("small",),
-        )
-    )
+    pro = run_simulation(spec.with_(bidding=ProactiveBidding()), catalog=cat)
+    rea = run_simulation(spec.with_(bidding=ReactiveBidding()), catalog=cat)
     assert pro.unavailability_percent <= rea.unavailability_percent + 0.002

@@ -1,12 +1,12 @@
 """Executor: parallel fan-out must be indistinguishable from serial."""
 
+import dataclasses
 import os
 
 import pytest
 
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
-from repro.core.simulation import SimulationConfig, run_many, run_simulation
-from repro.core.strategies import SingleMarketStrategy
+from repro.core.simulation import run_many, run_simulation
 from repro.errors import ConfigurationError
 from repro.runtime import (
     BatchSpec,
@@ -16,11 +16,17 @@ from repro.runtime import (
     collect_telemetry,
     run_batch,
 )
-from repro.traces.calibration import SIZES
+from repro.traces.calibration import SIZES, MarketCalibration, calibration_for
 from repro.traces.catalog import MarketKey
 from repro.units import days
 
 REGION = "us-east-1a"
+
+
+class UnhashableCalibration(MarketCalibration):
+    """A calibration override the catalog cache cannot key."""
+
+    __hash__ = None
 
 
 def fig6_style_runs(seeds=(11, 23), sizes=("small", "medium"), horizon=days(3)):
@@ -54,7 +60,7 @@ class TestSerial:
     def test_matches_run_simulation(self):
         run = fig6_style_runs(seeds=(7,), sizes=("small",))[0]
         batch = run_batch([run], cache=TraceCatalogCache())
-        assert batch.results[0] == run_simulation(run.to_config())
+        assert batch.results[0] == run_simulation(run)
 
     def test_progress_called_per_run(self):
         runs = fig6_style_runs(seeds=(1, 2), sizes=("small",))
@@ -99,8 +105,14 @@ class TestParallelDeterminism:
         assert batch.telemetry.parallel_runs == len(runs)
         assert os.getpid() not in pids
 
-    def test_unportable_runs_fall_back_in_process(self):
+    def test_uncacheable_runs_execute_in_process(self):
+        """A run whose calibration overrides cannot be keyed has no
+        catalog to publish: it builds its own, in the parent process."""
         key = MarketKey(REGION, "small")
+        cal = calibration_for(REGION, "small")
+        odd = UnhashableCalibration(
+            *(getattr(cal, f.name) for f in dataclasses.fields(cal))
+        )
         portable = RunSpec(
             strategy=StrategySpec.single(key),
             seed=1,
@@ -108,19 +120,21 @@ class TestParallelDeterminism:
             regions=(REGION,),
             sizes=("small",),
         )
-        legacy = portable.with_(strategy=lambda: SingleMarketStrategy(key))
-        batch = run_batch([portable, legacy], jobs=2)
+        local = portable.with_(calibrations={(REGION, "small"): odd})
+        assert local.catalog_key() is None
+        batch = run_batch([portable, local], jobs=2)
         assert batch.results[0] == batch.results[1]
+        assert batch.run_telemetry[0].worker_pid != os.getpid()
         assert batch.run_telemetry[1].worker_pid == os.getpid()
 
     def test_run_many_jobs_matches_serial(self):
-        cfg = SimulationConfig(
+        spec = RunSpec(
             strategy=StrategySpec.single(MarketKey(REGION, "small")),
             horizon_s=days(3),
             regions=(REGION,),
             sizes=("small",),
         )
-        assert run_many(cfg, [1, 2, 3], jobs=4) == run_many(cfg, [1, 2, 3])
+        assert run_many(spec, [1, 2, 3], jobs=4) == run_many(spec, [1, 2, 3])
 
 
 class TestTelemetry:

@@ -53,9 +53,8 @@ def test_fused_matches_event_on_golden_corpus(scenario):
     """``--engine auto`` is byte-identical to ``event`` on every golden
     scenario — including the ones whose policies ``auto`` routes to
     per-event execution."""
-    config = scenario.config()
-    event = run_simulation_observed(config)
-    fused = run_batch([RunSpec.from_config(scenario.config())], engine="auto")
+    event = run_simulation_observed(scenario.spec(), scenario.catalog())
+    fused = run_batch([scenario.spec()], engine="auto")
     assert fused.results[0] == event.result
 
 

@@ -74,14 +74,38 @@ class TestFingerprints:
     def test_batch_fingerprint_sees_order(self):
         assert batch_fingerprint(_specs(1, 2)) != batch_fingerprint(_specs(2, 1))
 
-    def test_legacy_callable_strategies_fingerprintable(self):
-        from repro.core.strategies import SingleMarketStrategy
+    def test_fingerprint_pinned_value(self):
+        # Every ledger on disk stores fingerprints like this one: moving or
+        # renaming StrategySpec/RunSpec, or adding a field, breaks resume.
+        from repro.core.bidding import ProactiveBidding
+
+        spec = RunSpec(
+            strategy=StrategySpec.single(MarketKey("us-east-1a", "small")),
+            bidding=ProactiveBidding(k=2.0),
+            seed=7,
+            horizon_s=days(3),
+            regions=("us-east-1a",),
+            sizes=("small",),
+            label="pin",
+        )
+        assert spec_fingerprint(spec) == (
+            "c3d4f265ce4352152d143f654c4385f570851051f01083bef0e18e44f02438b1"
+        )
+
+    def test_callable_strategies_not_fingerprintable(self):
+        # A function's qualified name does not say what it builds: two
+        # closures from one factory would share a fingerprint, and a
+        # resumed ledger would replay one strategy's result for the other.
+        from repro.core.strategies import OnDemandOnlyStrategy
+        from repro.runtime.spec import _canonical
 
         def factory():
-            return SingleMarketStrategy(KEY)
+            return OnDemandOnlyStrategy(KEY)
 
-        fp = spec_fingerprint(_spec().with_(strategy=factory))
-        assert fp == spec_fingerprint(_spec().with_(strategy=factory))
+        with pytest.raises(ConfigurationError, match="cannot fingerprint"):
+            _canonical(factory)
+        with pytest.raises(ConfigurationError, match="cannot fingerprint"):
+            _canonical(lambda: OnDemandOnlyStrategy(KEY))
 
     def test_same_named_dataclasses_from_different_modules_differ(self):
         from repro.runtime.spec import _canonical
@@ -393,8 +417,10 @@ def test_kill_orchestrator_then_resume_byte_identical(tmp_path, jobs):
     with open(err_path, "wb") as err:
         # No pipes: orphaned pool workers (jobs=4) inherit them and would
         # keep a captured stderr open long after the SIGKILL. TMPDIR keeps
-        # the killed batch's leftover catalog spill inside tmp_path.
-        proc = subprocess.run(
+        # the killed batch's leftover catalog spill inside tmp_path. The
+        # child leads its own process group, so the pool workers it leaves
+        # behind are reaped with it.
+        proc = subprocess.Popen(
             [sys.executable, "-c", _KILL_SCRIPT, str(led), str(jobs), "2"],
             env={
                 **os.environ,
@@ -403,8 +429,16 @@ def test_kill_orchestrator_then_resume_byte_identical(tmp_path, jobs):
             },
             stdout=subprocess.DEVNULL,
             stderr=err,
-            timeout=300,
+            start_new_session=True,
         )
+        try:
+            proc.wait(timeout=300)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
     assert proc.returncode == -signal.SIGKILL, err_path.read_text()
     journaled = len(_ledger_lines(led)) - 1
     assert journaled >= 2  # the kill threshold, plus racing pool workers

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.adaptive import AdaptiveBidding
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
-from repro.core.simulation import SimulationConfig, run_simulation
+from repro.core.simulation import build_stack, run_simulation
 from repro.core.policies import (
     IndexTrackingStrategy,
     NoFaultToleranceStrategy,
@@ -65,12 +65,12 @@ def test_every_registered_kind_has_a_case():
 
 @pytest.mark.parametrize("kind", sorted(SPEC_CASES))
 def test_strategy_spec_builds_and_is_callable(kind):
+    """``build()`` is the spec's one factory call; the spec itself is data."""
     spec, cls = SPEC_CASES[kind]
     assert isinstance(spec.build(), cls)
-    # A spec is a drop-in strategy factory.
-    assert isinstance(spec(), cls)
     # Each call builds a fresh instance.
-    assert spec() is not spec()
+    assert spec.build() is not spec.build()
+    assert not callable(spec)
 
 
 @pytest.mark.parametrize("kind", sorted(SPEC_CASES))
@@ -101,11 +101,8 @@ def test_run_spec_pickles_for_every_combination(kind, bidding, mechanism):
     assert run.is_portable()
     clone = pickle.loads(pickle.dumps(run))
     assert clone == run
-    config = clone.to_config()
-    assert isinstance(config, SimulationConfig)
-    built = config.strategy()
-    assert isinstance(built, cls)
-    assert config.bidding.name == bidding.name
+    assert isinstance(clone.strategy.build(), cls)
+    assert clone.bidding.name == bidding.name
 
 
 def test_run_spec_executes_after_pickling():
@@ -117,7 +114,7 @@ def test_run_spec_executes_after_pickling():
         sizes=("small",),
     )
     clone = pickle.loads(pickle.dumps(run))
-    result = run_simulation(clone.to_config())
+    result = run_simulation(clone)
     assert result.seed == 5
     assert result.duration_hours > 0
 
@@ -160,26 +157,26 @@ def test_duplicate_registration_via_runtime_facade_raises():
         unregister_strategy("dup-facade-test")
 
 
-def test_run_spec_from_config_drops_catalog(month_catalog):
-    config = SimulationConfig(
-        strategy=StrategySpec.single(KEY),
-        seed=1,
-        catalog=month_catalog,
-    )
-    spec = RunSpec.from_config(config, seed=9)
-    assert spec.seed == 9
-    assert spec.to_config().catalog is None
-
-
-def test_to_config_deep_copies_bidding():
+def test_build_stack_deep_copies_bidding(month_catalog):
     bidding = AdaptiveBidding()
     spec = RunSpec(strategy=StrategySpec.single(KEY), bidding=bidding)
-    assert spec.to_config().bidding is not bidding
+    stack = build_stack(spec, month_catalog)
+    assert stack.scheduler.bidding is not bidding
+    assert stack.scheduler.bidding == bidding
 
 
-def test_legacy_callable_strategy_is_not_portable():
-    run = RunSpec(strategy=lambda: SingleMarketStrategy(KEY))
-    assert not run.is_portable()
+def test_callable_strategy_rejected():
+    with pytest.raises(ConfigurationError, match="register_strategy_kind"):
+        RunSpec(strategy=lambda: SingleMarketStrategy(KEY))
+    with pytest.raises(ConfigurationError, match="register_strategy_kind"):
+        RunSpec(strategy=SingleMarketStrategy(KEY))
+
+
+def test_horizon_validated_at_construction():
+    with pytest.raises(ConfigurationError, match="one hour"):
+        RunSpec(strategy=StrategySpec.single(KEY), horizon_s=1800)
+    with pytest.raises(ConfigurationError, match="one hour"):
+        RunSpec(strategy=StrategySpec.single(KEY)).with_(horizon_s=3600)
 
 
 def test_batch_spec_product():

@@ -49,11 +49,11 @@ def test_vector_matches_event_on_golden_corpus(scenario):
     portfolio-bid) exercise the degrade contract instead: a forced
     vector run falls back to per-event execution and reports it.
     """
-    config = scenario.config()
-    event = run_simulation_observed(config)
-    vector = run_simulation_observed(scenario.config(), engine="vector")
+    spec = scenario.spec()
+    event = run_simulation_observed(spec, scenario.catalog())
+    vector = run_simulation_observed(spec, scenario.catalog(), engine="vector")
     assert event.engine_kind == "event"
-    if config.strategy().vectorizable:
+    if spec.strategy.build().vectorizable:
         assert vector.engine_kind == "vector"
         assert vector.vector_checks > 0
     else:
@@ -150,9 +150,9 @@ def test_forced_vector_degrades_on_nonvectorizable_strategy():
     """NoFaultToleranceStrategy cannot batch (its recompute path only
     exists in the event engine); a vector-engine run still runs — per-event
     inside the scheduler — and reports what actually happened."""
-    config = _spec(strategy=StrategySpec.no_fault_tolerance(EAST_SMALL)).to_config()
-    event = run_simulation_observed(config)
-    vector = run_simulation_observed(config, engine="vector")
+    spec = _spec(strategy=StrategySpec.no_fault_tolerance(EAST_SMALL))
+    event = run_simulation_observed(spec)
+    vector = run_simulation_observed(spec, engine="vector")
     assert vector.engine_kind == "event"
     assert vector.vector_checks == 0
     assert vector.result == event.result
@@ -164,7 +164,7 @@ def test_unknown_engine_rejected():
             run_batch([_spec()], engine=engine, cache=_CACHE)
     for engine in ("auto", "fused"):
         with pytest.raises(ConfigurationError):
-            run_simulation_observed(_spec().to_config(), engine=engine)
+            run_simulation_observed(_spec(), engine=engine)
 
 
 # --------------------------------------------------------------------- dedupe

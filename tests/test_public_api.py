@@ -66,14 +66,14 @@ def test_version_string():
 def test_readme_quickstart_snippet():
     """The exact flow the README's quickstart shows."""
     from repro import (
-        MarketKey, Mechanism, ProactiveBidding, SimulationConfig,
-        SingleMarketStrategy, run_simulation,
+        MarketKey, Mechanism, ProactiveBidding, RunSpec, StrategySpec,
+        run_simulation,
     )
     from repro.units import days
 
     key = MarketKey("us-east-1a", "small")
-    result = run_simulation(SimulationConfig(
-        strategy=lambda: SingleMarketStrategy(key),
+    result = run_simulation(RunSpec(
+        strategy=StrategySpec.single(key),
         bidding=ProactiveBidding(k=4.0),
         mechanism=Mechanism.CKPT_LR_LIVE,
         horizon_s=days(7),

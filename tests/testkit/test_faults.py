@@ -5,9 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.simulation import SimulationConfig, build_stack, run_simulation
+from repro.core.simulation import build_stack, run_simulation
 from repro.errors import ConfigurationError
-from repro.runtime.spec import StrategySpec
+from repro.runtime.spec import RunSpec, StrategySpec
 from repro.testkit.builders import make_constant_trace, single_market_catalog
 from repro.testkit.faults import FaultPlan, PriceSpike
 from repro.traces.catalog import MarketKey
@@ -108,7 +108,7 @@ def test_storm_horizon_must_exceed_duration():
 
 # ------------------------------------------------------------ provider wrapping
 def _stack(plan, seed=3):
-    config = SimulationConfig(
+    spec = RunSpec(
         strategy=StrategySpec.single(KEY),
         seed=seed,
         horizon_s=days(3),
@@ -116,7 +116,7 @@ def _stack(plan, seed=3):
         sizes=("small",),
         faults=plan,
     )
-    return build_stack(config)
+    return build_stack(spec)
 
 
 def test_wrap_provider_startup_stretch():
@@ -176,7 +176,7 @@ def test_should_crash_schedule():
 
 # ------------------------------------------------------------------ end to end
 def test_storm_forces_migrations_and_raises_cost():
-    base_cfg = SimulationConfig(
+    base = RunSpec(
         strategy=StrategySpec.single(KEY),
         seed=3,
         horizon_s=days(7),
@@ -184,14 +184,14 @@ def test_storm_forces_migrations_and_raises_cost():
         sizes=("small",),
     )
     plan = FaultPlan.revocation_storm(11, days(7), n_spikes=5, duration_s=1800.0)
-    calm = run_simulation(base_cfg, verify=True)
-    stormy = run_simulation(base_cfg.with_(faults=plan), verify=True)
+    calm = run_simulation(base, verify=True)
+    stormy = run_simulation(base.with_(faults=plan), verify=True)
     assert stormy.forced_migrations > calm.forced_migrations
     assert stormy.total_cost != calm.total_cost
 
 
 def test_faulted_run_is_deterministic():
-    cfg = SimulationConfig(
+    spec = RunSpec(
         strategy=StrategySpec.single(KEY),
         seed=5,
         horizon_s=days(5),
@@ -201,4 +201,4 @@ def test_faulted_run_is_deterministic():
             21, days(5), checkpoint_delay_s=20.0, checkpoint_failure_rate=0.3
         ),
     )
-    assert run_simulation(cfg) == run_simulation(cfg)
+    assert run_simulation(spec) == run_simulation(spec)

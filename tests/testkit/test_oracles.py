@@ -4,14 +4,9 @@ books are cooked."""
 import pytest
 
 from repro.core.accounting import CostEntry
-from repro.core.simulation import (
-    SimulationConfig,
-    build_stack,
-    run_simulation,
-    summarize_stack,
-)
+from repro.core.simulation import build_stack, run_simulation, summarize_stack
 from repro.errors import InvariantViolation
-from repro.runtime.spec import StrategySpec
+from repro.runtime.spec import RunSpec, StrategySpec
 from repro.testkit.faults import FaultPlan
 from repro.testkit.oracles import (
     OracleReport,
@@ -35,7 +30,7 @@ def _config(**kw):
         sizes=("small",),
     )
     base.update(kw)
-    return SimulationConfig(**base)
+    return RunSpec(**base)
 
 
 def _completed_stack(**kw):

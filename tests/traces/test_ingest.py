@@ -380,8 +380,8 @@ def test_mmap_catalog_report_identical_to_in_memory(tmp_path, engine):
     to the CSV -> in-memory path, on every engine."""
     import dataclasses as dc
 
-    from repro.core.simulation import SimulationConfig, run_simulation_observed
-    from repro.runtime.spec import StrategySpec
+    from repro.core.simulation import run_simulation_observed
+    from repro.runtime.spec import RunSpec, StrategySpec
     from repro.traces.catalog import TraceCatalog
 
     horizon = days(2)
@@ -399,16 +399,16 @@ def test_mmap_catalog_report_identical_to_in_memory(tmp_path, engine):
     # A single run has nothing to fuse: auto is the vector scheduler.
     one_engine = "vector" if engine == "auto" else "event"
 
+    spec = RunSpec(
+        strategy=StrategySpec.single(key),
+        seed=5,
+        horizon_s=horizon,
+        regions=("us-east-1a",),
+        sizes=("small",),
+        label="ingest-identity",
+    )
+
     def _run(catalog):
-        cfg = SimulationConfig(
-            strategy=StrategySpec.single(key),
-            seed=5,
-            horizon_s=horizon,
-            regions=("us-east-1a",),
-            sizes=("small",),
-            catalog=catalog,
-            label="ingest-identity",
-        )
-        return dc.asdict(run_simulation_observed(cfg, engine=one_engine).result)
+        return dc.asdict(run_simulation_observed(spec, catalog, engine=one_engine).result)
 
     assert _run(mm_catalog) == _run(mem_catalog)

@@ -99,15 +99,24 @@ def main(argv: list[str] | None = None) -> int:
           f"{len(SEEDS)} runs (jobs={args.jobs})")
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     # No output pipes: orphaned pool workers would hold them open past the
-    # SIGKILL and stall the wait.
-    proc = subprocess.run(
+    # SIGKILL and stall the wait. The child leads its own process group so
+    # those workers are reaped with it.
+    proc = subprocess.Popen(
         [sys.executable, "-c", _CHILD, str(args.ledger), str(args.jobs),
          str(KILL_AFTER)],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
-        timeout=600,
+        start_new_session=True,
     )
+    try:
+        proc.wait(timeout=600)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
     if proc.returncode != -signal.SIGKILL:
         print(f"[resume-smoke] FAIL: child exited {proc.returncode}, "
               f"expected SIGKILL ({-signal.SIGKILL})")
