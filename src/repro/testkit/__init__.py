@@ -49,8 +49,6 @@ from repro.testkit.golden import (
     GoldenScenario,
     check_scenarios,
     default_golden_dir,
-    run_fleet_scenario,
-    run_scenario,
     scenario_by_name,
     update_golden,
 )
@@ -86,8 +84,6 @@ __all__ = [
     "SCENARIOS",
     "FLEET_SCENARIOS",
     "scenario_by_name",
-    "run_scenario",
-    "run_fleet_scenario",
     "check_scenarios",
     "update_golden",
     "default_golden_dir",

@@ -19,6 +19,12 @@ segment replay, and a run on calibrations refit from a generated archive.
 :data:`FLEET_SCENARIOS` extends it with a pinned multi-tenant
 :class:`~repro.fleet.report.FleetReport` (shared market, shared spare
 pool, churn) checked by the same machinery.
+
+Both corpora are declarative tables: one row per scenario. Every
+non-scalar field of a row (strategy, bidding policy, fault plan,
+calibrations, catalog) is a zero-argument recipe, so importing this
+module builds no strategy, fault plan, calibration or catalog; the work
+happens when a scenario's :meth:`~GoldenScenario.spec` is called.
 """
 
 from __future__ import annotations
@@ -26,12 +32,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.bidding import ReactiveBidding
+from repro.core.bidding import BiddingPolicy, ProactiveBidding, ReactiveBidding
 from repro.core.simulation import run_simulation_observed
 from repro.errors import ConfigurationError
 from repro.fleet.spec import FleetSpec, ServiceSpec, synthesize_fleet
@@ -47,232 +53,69 @@ __all__ = [
     "SCENARIOS",
     "FLEET_SCENARIOS",
     "scenario_by_name",
-    "run_scenario",
-    "run_fleet_scenario",
     "check_scenarios",
     "update_golden",
     "default_golden_dir",
 ]
 
-#: Environment override for the expected-report directory.
-GOLDEN_DIR_ENV = "REPRO_GOLDEN_DIR"
-
 #: Tolerance for float fields (JSON round-trips floats exactly; the
 #: tolerance only guards against cross-platform libm differences).
 REL_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class GoldenScenario:
-    """One committed scenario: a name, a story, and a seeded run spec.
-
-    ``build_catalog``, when set, builds the trace set the run replays
-    instead of the one generated from the spec's seed.
-    """
-
-    name: str
-    description: str
-    build: Callable[[], RunSpec]
-    build_catalog: Optional[Callable[[], TraceCatalog]] = None
-
-    def spec(self) -> RunSpec:
-        return self.build()
-
-    def catalog(self) -> Optional[TraceCatalog]:
-        return None if self.build_catalog is None else self.build_catalog()
-
-
-def default_golden_dir() -> Path:
-    """``tests/golden/expected`` relative to the repo root (overridable via
-    the ``REPRO_GOLDEN_DIR`` environment variable)."""
-    env = os.environ.get(GOLDEN_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / "tests" / "golden" / "expected"
-
-
-# ------------------------------------------------------------------- scenarios
 _EAST = MarketKey("us-east-1a", "small")
 _WEEK = days(7)
 
 
-def _calm_single() -> RunSpec:
-    return RunSpec(
-        strategy=StrategySpec.single(_EAST),
-        seed=11,
-        horizon_s=_WEEK,
-        regions=("us-east-1a",),
-        sizes=("small",),
-        label="golden/calm-single",
-    )
+@dataclass(frozen=True)
+class GoldenScenario:
+    """One committed scenario: a name, a story, and a seeded run recipe.
+
+    The run's label is ``golden/<name>``. ``build_catalog``, when set,
+    builds the trace set the run replays (from the run spec) instead of
+    the one generated from the spec's seed.
+    """
+
+    name: str
+    description: str
+    strategy: Callable[[], StrategySpec]
+    seed: int
+    horizon_s: float = days(3)
+    regions: Tuple[str, ...] = ("us-east-1a",)
+    sizes: Tuple[str, ...] = ("small",)
+    bidding: Callable[[], BiddingPolicy] = ProactiveBidding
+    faults: Optional[Callable[[], FaultPlan]] = None
+    calibrations: Optional[Callable[[], Mapping[tuple, MarketCalibration]]] = None
+    build_catalog: Optional[Callable[[RunSpec], TraceCatalog]] = None
+
+    def spec(self) -> RunSpec:
+        return RunSpec(
+            strategy=self.strategy(),
+            bidding=self.bidding(),
+            seed=self.seed,
+            horizon_s=self.horizon_s,
+            regions=self.regions,
+            sizes=self.sizes,
+            calibrations=None if self.calibrations is None else self.calibrations(),
+            faults=None if self.faults is None else self.faults(),
+            label=f"golden/{self.name}",
+        )
+
+    def catalog(self) -> Optional[TraceCatalog]:
+        return None if self.build_catalog is None else self.build_catalog(self.spec())
+
+    def report(self, verify: bool = True) -> Dict[str, object]:
+        """Run the scenario (with the invariant oracles by default) and
+        return its report as a JSON-ready dict."""
+        observed = run_simulation_observed(self.spec(), self.catalog(), verify=verify)
+        return dataclasses.asdict(observed.result)
 
 
-def _calm_large() -> RunSpec:
-    return RunSpec(
-        strategy=StrategySpec.single(MarketKey("us-east-1a", "large")),
-        seed=23,
-        horizon_s=_WEEK,
-        regions=("us-east-1a",),
-        sizes=("large",),
-        label="golden/calm-large",
-    )
+def default_golden_dir() -> Path:
+    """``tests/golden/expected`` relative to the repo root."""
+    return Path(__file__).resolve().parents[3] / "tests" / "golden" / "expected"
 
 
-def _storm_single() -> RunSpec:
-    return RunSpec(
-        strategy=StrategySpec.single(_EAST),
-        seed=31,
-        horizon_s=_WEEK,
-        regions=("us-east-1a",),
-        sizes=("small",),
-        faults=FaultPlan.revocation_storm(401, _WEEK, n_spikes=6, duration_s=1800.0),
-        label="golden/storm-single",
-    )
-
-
-def _spike_at_boundary() -> RunSpec:
-    # The spike opens 90 s before the lease's 5th billing boundary — the
-    # window where revocation is cheapest for the provider-side adversary
-    # and the partial-hour-free rule matters most.
-    return RunSpec(
-        strategy=StrategySpec.single(_EAST),
-        seed=43,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("small",),
-        faults=FaultPlan.correlated_spike(hours(5) - 90.0, hours(2)),
-        label="golden/spike-at-boundary",
-    )
-
-
-def _pure_spot_outage() -> RunSpec:
-    # No on-demand fallback: a correlated spike forces a dark period.
-    return RunSpec(
-        strategy=StrategySpec.pure_spot(_EAST),
-        seed=53,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("small",),
-        faults=FaultPlan.correlated_spike(hours(30), hours(4)),
-        label="golden/pure-spot-outage",
-    )
-
-
-def _on_demand_baseline() -> RunSpec:
-    return RunSpec(
-        strategy=StrategySpec.on_demand(_EAST),
-        seed=61,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("small",),
-        label="golden/on-demand-baseline",
-    )
-
-
-def _multi_market_storm() -> RunSpec:
-    # Spikes hit only the small market, so the multi-market strategy can
-    # escape sideways within the region.
-    return RunSpec(
-        strategy=StrategySpec.multi_market("us-east-1a"),
-        seed=71,
-        horizon_s=_WEEK,
-        regions=("us-east-1a",),
-        sizes=("small", "medium", "large", "xlarge"),
-        faults=FaultPlan.revocation_storm(
-            402, _WEEK, n_spikes=4, duration_s=3600.0, markets=("us-east-1a/small",)
-        ),
-        label="golden/multi-market-storm",
-    )
-
-
-def _multi_region() -> RunSpec:
-    return RunSpec(
-        strategy=StrategySpec.multi_region(("us-east-1a", "us-west-1a")),
-        seed=83,
-        horizon_s=_WEEK,
-        regions=("us-east-1a", "us-west-1a"),
-        sizes=("small", "medium", "large", "xlarge"),
-        label="golden/multi-region",
-    )
-
-
-def _multi_region_correlated() -> RunSpec:
-    # Every market spikes at once: cross-region escape can't help, the
-    # scheduler must ride out the storm on on-demand.
-    return RunSpec(
-        strategy=StrategySpec.multi_region(("us-east-1a", "eu-west-1a")),
-        seed=97,
-        horizon_s=_WEEK,
-        regions=("us-east-1a", "eu-west-1a"),
-        sizes=("small", "medium", "large", "xlarge"),
-        faults=FaultPlan.correlated_spike(days(2), hours(6)),
-        label="golden/multi-region-correlated",
-    )
-
-
-def _slow_checkpoint_storm() -> RunSpec:
-    # Storm plus degraded infrastructure: delayed/failing checkpoint
-    # writes, doubled WAN disk copies, sluggish allocations.
-    return RunSpec(
-        strategy=StrategySpec.single(_EAST),
-        seed=101,
-        horizon_s=_WEEK,
-        regions=("us-east-1a",),
-        sizes=("small",),
-        faults=FaultPlan.revocation_storm(
-            403,
-            _WEEK,
-            n_spikes=5,
-            duration_s=2700.0,
-            checkpoint_delay_s=45.0,
-            checkpoint_failure_rate=0.25,
-            disk_copy_factor=2.0,
-            startup_factor=1.5,
-        ),
-        label="golden/slow-checkpoint-storm",
-    )
-
-
-def _index_tracking_basket() -> RunSpec:
-    # The Shastri & Irwin index tracker: a 3-market basket across two
-    # regions, rebalanced within a 15 % band of the on-demand index.
-    return RunSpec(
-        strategy=StrategySpec.index_tracking(("us-east-1a", "us-west-1a")),
-        seed=113,
-        horizon_s=days(3),
-        regions=("us-east-1a", "us-west-1a"),
-        sizes=("small", "medium"),
-        label="golden/index-tracking-basket",
-    )
-
-
-def _no_ft_storm() -> RunSpec:
-    # No checkpoints: the correlated spike revokes the tenant, the
-    # partial hour rides free, and recovery recomputes from the volume.
-    return RunSpec(
-        strategy=StrategySpec.no_fault_tolerance(_EAST),
-        seed=127,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("small",),
-        faults=FaultPlan.correlated_spike(hours(30), hours(4)),
-        label="golden/no-ft-storm",
-    )
-
-
-def _portfolio_bid_lp() -> RunSpec:
-    # The LP bid family: per-epoch risk/cost program over four markets.
-    return RunSpec(
-        strategy=StrategySpec.portfolio_bid(("us-east-1a", "us-west-1a")),
-        seed=131,
-        horizon_s=days(3),
-        regions=("us-east-1a", "us-west-1a"),
-        sizes=("small", "medium"),
-        label="golden/portfolio-bid-lp",
-    )
-
-
-# -------------------------------------------------- archive-regime scenarios
+# ------------------------------------------------------ calibration presets
 # Calibration presets for the regimes real DescribeSpotPriceHistory
 # archives exhibit (sustained-high markets, scarce-capacity spike trains,
 # correlated cross-region storms). Each preset stays inside the
@@ -323,222 +166,28 @@ def _quiet_cal(region: str, size: str) -> MarketCalibration:
     )
 
 
-def _sustained_high_single() -> RunSpec:
-    return RunSpec(
-        strategy=StrategySpec.single(_EAST),
-        seed=137,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("small",),
-        calibrations={("us-east-1a", "small"): _sustained_high_cal("us-east-1a", "small")},
-        label="golden/sustained-high-single",
-    )
+def _on(
+    preset: Callable[[str, str], MarketCalibration],
+    regions: Tuple[str, ...] = ("us-east-1a",),
+    sizes: Tuple[str, ...] = ("small",),
+) -> Callable[[], Dict[tuple, MarketCalibration]]:
+    """Recipe applying ``preset`` to every (region, size) market given."""
+    return lambda: {(r, s): preset(r, s) for r in regions for s in sizes}
 
 
-def _sustained_high_reactive() -> RunSpec:
-    # Reactive bidding on a sustained-high market: the bid-the-ceiling
-    # policy pays nearly on-demand rates, the regime where Fig 5's
-    # proactive/reactive gap collapses.
-    return RunSpec(
-        strategy=StrategySpec.single(_EAST),
-        bidding=ReactiveBidding(),
-        seed=139,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("small",),
-        calibrations={("us-east-1a", "small"): _sustained_high_cal("us-east-1a", "small")},
-        label="golden/sustained-high-reactive",
-    )
+def _refit_calibrations() -> Mapping[tuple, MarketCalibration]:
+    # Closes the refit loop inside the corpus: fit the regime-switching
+    # parameters to a generated two-market history, then simulate on
+    # traces regenerated *from the fit*. Any drift in the fit -> generate
+    # round trip shows up as a golden diff.
+    from repro.traces.catalog import build_catalog
+    from repro.traces.refit import fit_catalog
+
+    source = build_catalog(7, days(10), regions=("us-east-1a",), sizes=("small", "medium"))
+    return fit_catalog(source, grid_step_s=900.0)
 
 
-def _sustained_high_multi_market() -> RunSpec:
-    # Only the small market is sustained-high; sideways escape within the
-    # region recovers most of the spot discount.
-    return RunSpec(
-        strategy=StrategySpec.multi_market("us-east-1a"),
-        seed=149,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("small", "medium", "large", "xlarge"),
-        calibrations={("us-east-1a", "small"): _sustained_high_cal("us-east-1a", "small")},
-        label="golden/sustained-high-multi-market",
-    )
-
-
-def _sustained_high_pure_spot() -> RunSpec:
-    # No on-demand fallback on a market that is expensive but rarely
-    # revokes: high cost, little downtime.
-    return RunSpec(
-        strategy=StrategySpec.pure_spot(_EAST),
-        seed=193,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("small",),
-        calibrations={("us-east-1a", "small"): _sustained_high_cal("us-east-1a", "small")},
-        label="golden/sustained-high-pure-spot",
-    )
-
-
-_XL_EAST = MarketKey("us-east-1a", "xlarge")
-
-
-def _gpu_scarcity_single() -> RunSpec:
-    return RunSpec(
-        strategy=StrategySpec.single(_XL_EAST),
-        seed=151,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("xlarge",),
-        calibrations={("us-east-1a", "xlarge"): _gpu_scarcity_cal("us-east-1a", "xlarge")},
-        label="golden/gpu-scarcity-single",
-    )
-
-
-def _gpu_scarcity_no_ft() -> RunSpec:
-    # Sharp spike trains against a tenant with no checkpoints: every
-    # revocation recomputes from the volume.
-    return RunSpec(
-        strategy=StrategySpec.no_fault_tolerance(_XL_EAST),
-        seed=157,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("xlarge",),
-        calibrations={("us-east-1a", "xlarge"): _gpu_scarcity_cal("us-east-1a", "xlarge")},
-        label="golden/gpu-scarcity-no-ft",
-    )
-
-
-def _gpu_scarcity_multi_market() -> RunSpec:
-    # Scarcity hits only the xlarge market; the multi-market scheduler can
-    # wait it out on the calmer sizes.
-    return RunSpec(
-        strategy=StrategySpec.multi_market("us-east-1a"),
-        seed=163,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("small", "medium", "large", "xlarge"),
-        calibrations={("us-east-1a", "xlarge"): _gpu_scarcity_cal("us-east-1a", "xlarge")},
-        label="golden/gpu-scarcity-multi-market",
-    )
-
-
-def _storm_cals(regions, sizes):
-    return {(r, s): _stormy_cal(r, s) for r in regions for s in sizes}
-
-
-def _correlated_storm_regional() -> RunSpec:
-    # Heavy shared-shock shares: excursions synchronize within and across
-    # regions, eroding the diversification the multi-region escape buys.
-    return RunSpec(
-        strategy=StrategySpec.multi_region(("us-east-1a", "us-west-1a")),
-        seed=167,
-        horizon_s=days(3),
-        regions=("us-east-1a", "us-west-1a"),
-        sizes=("small", "medium"),
-        calibrations=_storm_cals(("us-east-1a", "us-west-1a"), ("small", "medium")),
-        label="golden/correlated-storm-regional",
-    )
-
-
-def _correlated_storm_global() -> RunSpec:
-    # Correlated generator shocks plus a scripted all-market spike: the
-    # worst case for cross-region hosting.
-    return RunSpec(
-        strategy=StrategySpec.multi_region(("us-east-1a", "eu-west-1a")),
-        seed=173,
-        horizon_s=days(3),
-        regions=("us-east-1a", "eu-west-1a"),
-        sizes=("small", "medium"),
-        calibrations=_storm_cals(("us-east-1a", "eu-west-1a"), ("small", "medium")),
-        faults=FaultPlan.correlated_spike(days(1), hours(3)),
-        label="golden/correlated-storm-global",
-    )
-
-
-def _correlated_storm_portfolio() -> RunSpec:
-    # The LP bid family under correlated shocks: predicted revocation risk
-    # rises everywhere at once, stressing the risk-cap constraint.
-    return RunSpec(
-        strategy=StrategySpec.portfolio_bid(("us-east-1a", "us-west-1a")),
-        seed=179,
-        horizon_s=days(3),
-        regions=("us-east-1a", "us-west-1a"),
-        sizes=("small", "medium"),
-        calibrations=_storm_cals(("us-east-1a", "us-west-1a"), ("small", "medium")),
-        label="golden/correlated-storm-portfolio",
-    )
-
-
-def _correlated_storm_index() -> RunSpec:
-    return RunSpec(
-        strategy=StrategySpec.index_tracking(("us-east-1a", "us-west-1a")),
-        seed=181,
-        horizon_s=days(3),
-        regions=("us-east-1a", "us-west-1a"),
-        sizes=("small", "medium"),
-        calibrations=_storm_cals(("us-east-1a", "us-west-1a"), ("small", "medium")),
-        label="golden/correlated-storm-index",
-    )
-
-
-def _stability_weighted_storm() -> RunSpec:
-    # The stability-weighted family pays a premium to avoid churn; a storm
-    # on one market shows what that premium buys.
-    return RunSpec(
-        strategy=StrategySpec.stability(("us-east-1a", "us-west-1a"), stability_weight=2.0),
-        seed=191,
-        horizon_s=days(3),
-        regions=("us-east-1a", "us-west-1a"),
-        sizes=("small", "medium"),
-        faults=FaultPlan.revocation_storm(
-            404, days(3), n_spikes=3, duration_s=1800.0, markets=("us-east-1a/small",)
-        ),
-        label="golden/stability-weighted-storm",
-    )
-
-
-def _calm_quiet_eu() -> RunSpec:
-    return RunSpec(
-        strategy=StrategySpec.single(MarketKey("eu-west-1a", "large")),
-        seed=197,
-        horizon_s=days(3),
-        regions=("eu-west-1a",),
-        sizes=("large",),
-        calibrations={("eu-west-1a", "large"): _quiet_cal("eu-west-1a", "large")},
-        label="golden/calm-quiet-eu",
-    )
-
-
-def _storm_reactive() -> RunSpec:
-    # Reactive bidding through a storm: every spike revokes immediately
-    # (the ceiling bid is always crossed), maximizing migration traffic.
-    return RunSpec(
-        strategy=StrategySpec.single(_EAST),
-        bidding=ReactiveBidding(),
-        seed=223,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("small",),
-        faults=FaultPlan.revocation_storm(405, days(3), n_spikes=3, duration_s=1800.0),
-        label="golden/storm-reactive",
-    )
-
-
-def _spike_train_medium() -> RunSpec:
-    # A seeded three-spike train on the medium market: repeated forced
-    # migrations with full recovery between spikes.
-    return RunSpec(
-        strategy=StrategySpec.single(MarketKey("us-east-1a", "medium")),
-        seed=227,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("medium",),
-        faults=FaultPlan.revocation_storm(406, days(3), n_spikes=3, duration_s=1200.0),
-        label="golden/spike-train-medium",
-    )
-
-
-def _archive_catalog() -> TraceCatalog:
+def _archive_catalog(spec: RunSpec) -> TraceCatalog:
     # End-to-end data-path pin: generate one market, write it as an AWS
     # CSV archive, stream-ingest it into mmap-compiled segments, and run
     # the simulation off the memory-mapped catalog. The pinned report
@@ -550,9 +199,7 @@ def _archive_catalog() -> TraceCatalog:
     from repro.traces.ingest import ingest_archive, load_segment_catalog
     from repro.traces.loader import save_aws_csv
 
-    spec = _archive_roundtrip()
-    horizon = spec.horizon_s
-    source = build_catalog(spec.seed, horizon, regions=spec.regions, sizes=spec.sizes)
+    source = build_catalog(spec.seed, spec.horizon_s, regions=spec.regions, sizes=spec.sizes)
     tmp = tempfile.TemporaryDirectory(prefix="repro-golden-segments-")
     root = Path(tmp.name)
     save_aws_csv(
@@ -561,7 +208,7 @@ def _archive_catalog() -> TraceCatalog:
         instance_type="m1.small",
         availability_zone="us-east-1a",
     )
-    ingest_archive(root / "archive.csv", root / "segments", horizon=horizon)
+    ingest_archive(root / "archive.csv", root / "segments", horizon=spec.horizon_s)
     catalog = load_segment_catalog(root / "segments")
     # The catalog's arrays are views over the segment files; keep the
     # temporary directory alive for as long as the catalog is.
@@ -569,190 +216,235 @@ def _archive_catalog() -> TraceCatalog:
     return catalog
 
 
-def _archive_roundtrip() -> RunSpec:
-    return RunSpec(
-        strategy=StrategySpec.single(_EAST),
-        seed=199,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("small",),
-        label="golden/archive-roundtrip",
-    )
-
-
-def _refit_regenerated() -> RunSpec:
-    # Closes the refit loop inside the corpus: fit the regime-switching
-    # parameters to a generated two-market history, then simulate on
-    # traces regenerated *from the fit*. Any drift in the fit -> generate
-    # round trip shows up as a golden diff.
-    from repro.traces.catalog import build_catalog
-    from repro.traces.refit import fit_catalog
-
-    source = build_catalog(7, days(10), regions=("us-east-1a",), sizes=("small", "medium"))
-    fitted = fit_catalog(source, grid_step_s=900.0)
-    return RunSpec(
-        strategy=StrategySpec.multi_market("us-east-1a"),
-        seed=211,
-        horizon_s=days(3),
-        regions=("us-east-1a",),
-        sizes=("small", "medium"),
-        calibrations=fitted,
-        label="golden/refit-regenerated",
-    )
-
+# ------------------------------------------------------------------ the table
+_XL_EAST = MarketKey("us-east-1a", "xlarge")
+_ALL_SIZES = ("small", "medium", "large", "xlarge")
+_SMALL_MEDIUM = ("small", "medium")
+_EAST_WEST = ("us-east-1a", "us-west-1a")
+_EAST_EU = ("us-east-1a", "eu-west-1a")
 
 SCENARIOS: Tuple[GoldenScenario, ...] = (
-    GoldenScenario("calm-single", "single market, calm generated trace", _calm_single),
-    GoldenScenario("calm-large", "large instance, calm generated trace", _calm_large),
-    GoldenScenario("storm-single", "seeded 6-spike revocation storm", _storm_single),
+    GoldenScenario(
+        "calm-single", "single market, calm generated trace",
+        partial(StrategySpec.single, _EAST), 11, _WEEK,
+    ),
+    GoldenScenario(
+        "calm-large", "large instance, calm generated trace",
+        partial(StrategySpec.single, MarketKey("us-east-1a", "large")), 23, _WEEK,
+        sizes=("large",),
+    ),
+    GoldenScenario(
+        "storm-single", "seeded 6-spike revocation storm",
+        partial(StrategySpec.single, _EAST), 31, _WEEK,
+        faults=partial(FaultPlan.revocation_storm, 401, _WEEK, n_spikes=6, duration_s=1800.0),
+    ),
+    # The spike opens 90 s before the lease's 5th billing boundary — the
+    # window where revocation is cheapest for the provider-side adversary
+    # and the partial-hour-free rule matters most.
     GoldenScenario(
         "spike-at-boundary", "correlated spike opening just before a billing boundary",
-        _spike_at_boundary,
+        partial(StrategySpec.single, _EAST), 43,
+        faults=partial(FaultPlan.correlated_spike, hours(5) - 90.0, hours(2)),
     ),
     GoldenScenario(
         "pure-spot-outage", "pure-spot strategy rides through a forced dark period",
-        _pure_spot_outage,
+        partial(StrategySpec.pure_spot, _EAST), 53,
+        faults=partial(FaultPlan.correlated_spike, hours(30), hours(4)),
     ),
     GoldenScenario(
         "on-demand-baseline", "all-on-demand control: no migrations, 100% cost",
-        _on_demand_baseline,
+        partial(StrategySpec.on_demand, _EAST), 61,
     ),
     GoldenScenario(
         "multi-market-storm", "storm on one market, sideways escape available",
-        _multi_market_storm,
+        partial(StrategySpec.multi_market, "us-east-1a"), 71, _WEEK, sizes=_ALL_SIZES,
+        faults=partial(
+            FaultPlan.revocation_storm, 402, _WEEK, n_spikes=4, duration_s=3600.0,
+            markets=("us-east-1a/small",),
+        ),
     ),
-    GoldenScenario("multi-region", "two-region deployment, calm markets", _multi_region),
+    GoldenScenario(
+        "multi-region", "two-region deployment, calm markets",
+        partial(StrategySpec.multi_region, _EAST_WEST), 83, _WEEK,
+        regions=_EAST_WEST, sizes=_ALL_SIZES,
+    ),
     GoldenScenario(
         "multi-region-correlated", "all markets spike at once across regions",
-        _multi_region_correlated,
+        partial(StrategySpec.multi_region, _EAST_EU), 97, _WEEK,
+        regions=_EAST_EU, sizes=_ALL_SIZES,
+        faults=partial(FaultPlan.correlated_spike, days(2), hours(6)),
     ),
     GoldenScenario(
         "slow-checkpoint-storm", "storm with failing checkpoints and slow copies",
-        _slow_checkpoint_storm,
+        partial(StrategySpec.single, _EAST), 101, _WEEK,
+        faults=partial(
+            FaultPlan.revocation_storm, 403, _WEEK, n_spikes=5, duration_s=2700.0,
+            checkpoint_delay_s=45.0, checkpoint_failure_rate=0.25, disk_copy_factor=2.0,
+            startup_factor=1.5,
+        ),
     ),
     GoldenScenario(
         "index-tracking-basket", "spot basket tracking the on-demand index",
-        _index_tracking_basket,
+        partial(StrategySpec.index_tracking, _EAST_WEST), 113,
+        regions=_EAST_WEST, sizes=_SMALL_MEDIUM,
     ),
     GoldenScenario(
         "no-ft-storm", "no-checkpoint tenant revoked by a correlated spike",
-        _no_ft_storm,
+        partial(StrategySpec.no_fault_tolerance, _EAST), 127,
+        faults=partial(FaultPlan.correlated_spike, hours(30), hours(4)),
     ),
     GoldenScenario(
         "portfolio-bid-lp", "LP risk/cost market selection over four markets",
-        _portfolio_bid_lp,
+        partial(StrategySpec.portfolio_bid, _EAST_WEST), 131,
+        regions=_EAST_WEST, sizes=_SMALL_MEDIUM,
     ),
     GoldenScenario(
         "sustained-high-single", "calm level parked just under on-demand",
-        _sustained_high_single,
+        partial(StrategySpec.single, _EAST), 137, calibrations=_on(_sustained_high_cal),
     ),
     GoldenScenario(
         "sustained-high-reactive", "reactive bidding where spot barely undercuts",
-        _sustained_high_reactive,
+        partial(StrategySpec.single, _EAST), 139, bidding=ReactiveBidding,
+        calibrations=_on(_sustained_high_cal),
     ),
     GoldenScenario(
         "sustained-high-multi-market", "sideways escape from one expensive market",
-        _sustained_high_multi_market,
+        partial(StrategySpec.multi_market, "us-east-1a"), 149, sizes=_ALL_SIZES,
+        calibrations=_on(_sustained_high_cal),
     ),
     GoldenScenario(
         "sustained-high-pure-spot", "pure spot on an expensive, rarely-revoking market",
-        _sustained_high_pure_spot,
+        partial(StrategySpec.pure_spot, _EAST), 193,
+        calibrations=_on(_sustained_high_cal),
     ),
     GoldenScenario(
         "gpu-scarcity-single", "frequent sharp spikes past the 4x bid cap",
-        _gpu_scarcity_single,
+        partial(StrategySpec.single, _XL_EAST), 151, sizes=("xlarge",),
+        calibrations=_on(_gpu_scarcity_cal, sizes=("xlarge",)),
     ),
     GoldenScenario(
         "gpu-scarcity-no-ft", "scarcity spike train against a no-checkpoint tenant",
-        _gpu_scarcity_no_ft,
+        partial(StrategySpec.no_fault_tolerance, _XL_EAST), 157, sizes=("xlarge",),
+        calibrations=_on(_gpu_scarcity_cal, sizes=("xlarge",)),
     ),
     GoldenScenario(
         "gpu-scarcity-multi-market", "xlarge scarcity, calmer sizes available",
-        _gpu_scarcity_multi_market,
+        partial(StrategySpec.multi_market, "us-east-1a"), 163, sizes=_ALL_SIZES,
+        calibrations=_on(_gpu_scarcity_cal, sizes=("xlarge",)),
     ),
     GoldenScenario(
         "correlated-storm-regional", "shared-shock shares synchronize two regions",
-        _correlated_storm_regional,
+        partial(StrategySpec.multi_region, _EAST_WEST), 167,
+        regions=_EAST_WEST, sizes=_SMALL_MEDIUM,
+        calibrations=_on(_stormy_cal, _EAST_WEST, _SMALL_MEDIUM),
     ),
     GoldenScenario(
         "correlated-storm-global", "correlated shocks plus a scripted all-market spike",
-        _correlated_storm_global,
+        partial(StrategySpec.multi_region, _EAST_EU), 173,
+        regions=_EAST_EU, sizes=_SMALL_MEDIUM,
+        calibrations=_on(_stormy_cal, _EAST_EU, _SMALL_MEDIUM),
+        faults=partial(FaultPlan.correlated_spike, days(1), hours(3)),
     ),
     GoldenScenario(
         "correlated-storm-portfolio", "LP bid family under correlated shocks",
-        _correlated_storm_portfolio,
+        partial(StrategySpec.portfolio_bid, _EAST_WEST), 179,
+        regions=_EAST_WEST, sizes=_SMALL_MEDIUM,
+        calibrations=_on(_stormy_cal, _EAST_WEST, _SMALL_MEDIUM),
     ),
     GoldenScenario(
         "correlated-storm-index", "index tracker under correlated shocks",
-        _correlated_storm_index,
+        partial(StrategySpec.index_tracking, _EAST_WEST), 181,
+        regions=_EAST_WEST, sizes=_SMALL_MEDIUM,
+        calibrations=_on(_stormy_cal, _EAST_WEST, _SMALL_MEDIUM),
     ),
     GoldenScenario(
         "stability-weighted-storm", "churn-averse family rides out a one-market storm",
-        _stability_weighted_storm,
+        partial(StrategySpec.stability, _EAST_WEST, stability_weight=2.0), 191,
+        regions=_EAST_WEST, sizes=_SMALL_MEDIUM,
+        faults=partial(
+            FaultPlan.revocation_storm, 404, days(3), n_spikes=3, duration_s=1800.0,
+            markets=("us-east-1a/small",),
+        ),
     ),
     GoldenScenario(
         "calm-quiet-eu", "placid EU market at a fifth of default excursion rates",
-        _calm_quiet_eu,
+        partial(StrategySpec.single, MarketKey("eu-west-1a", "large")), 197,
+        regions=("eu-west-1a",), sizes=("large",),
+        calibrations=_on(_quiet_cal, ("eu-west-1a",), ("large",)),
     ),
     GoldenScenario(
         "storm-reactive", "reactive ceiling bids revoked by every storm spike",
-        _storm_reactive,
+        partial(StrategySpec.single, _EAST), 223, bidding=ReactiveBidding,
+        faults=partial(FaultPlan.revocation_storm, 405, days(3), n_spikes=3, duration_s=1800.0),
     ),
     GoldenScenario(
         "spike-train-medium", "three-spike train with recovery between spikes",
-        _spike_train_medium,
+        partial(StrategySpec.single, MarketKey("us-east-1a", "medium")), 227, sizes=("medium",),
+        faults=partial(FaultPlan.revocation_storm, 406, days(3), n_spikes=3, duration_s=1200.0),
     ),
     GoldenScenario(
         "archive-roundtrip", "CSV -> streaming ingest -> mmap segment replay",
-        _archive_roundtrip, _archive_catalog,
+        partial(StrategySpec.single, _EAST), 199, build_catalog=_archive_catalog,
     ),
     GoldenScenario(
         "refit-regenerated", "simulate on calibrations refit from a generated archive",
-        _refit_regenerated,
+        partial(StrategySpec.multi_market, "us-east-1a"), 211, sizes=_SMALL_MEDIUM,
+        calibrations=_refit_calibrations,
     ),
 )
 
 
 @dataclass(frozen=True)
 class GoldenFleetScenario:
-    """One committed fleet scenario: a seeded :class:`FleetSpec` whose
-    :class:`~repro.fleet.report.FleetReport` is pinned as JSON."""
+    """One committed fleet scenario: a seeded :func:`synthesize_fleet` draw
+    plus explicitly pinned tenants, whose
+    :class:`~repro.fleet.report.FleetReport` is pinned as JSON.
+
+    ``pinned`` lists ``(service name, strategy recipe)`` tenants appended
+    after the drawn cohort, so a family stays in the corpus regardless of
+    what the seeded draw happens to pick.
+    """
 
     name: str
     description: str
-    build: Callable[[], FleetSpec]
+    n_services: int
+    seed: int
+    horizon_s: float
+    regions: Tuple[str, ...]
+    sizes: Tuple[str, ...]
+    churn_per_week: float = 0.0
+    spare_capacity: Optional[int] = None
+    pinned: Tuple[Tuple[str, Callable[[], StrategySpec]], ...] = ()
 
     def spec(self) -> FleetSpec:
-        return self.build()
+        fleet = synthesize_fleet(
+            self.n_services,
+            seed=self.seed,
+            horizon_s=self.horizon_s,
+            regions=self.regions,
+            sizes=self.sizes,
+            churn_per_week=self.churn_per_week,
+            spare_capacity=self.spare_capacity,
+        )
+        pinned = tuple(ServiceSpec(name=n, strategy=s()) for n, s in self.pinned)
+        return fleet.with_(services=fleet.services + pinned)
 
+    def report(self, verify: bool = True) -> Dict[str, object]:
+        """Run the fleet (with the fleet invariant oracles by default) and
+        return its :class:`~repro.fleet.report.FleetReport` as a
+        JSON-ready dict."""
+        from repro.fleet.runner import run_fleet
 
-def _fleet_small() -> FleetSpec:
-    # Eight heterogeneous tenants plus seeded churn over a 2-region,
-    # 2-size market grid: small enough for seconds, rich enough to
-    # exercise the shared spare pool and the churn proration path. One
-    # explicit index-tracking tenant pins the basket family in the fleet
-    # corpus regardless of what the seeded cohort draw happens to pick.
-    fleet = synthesize_fleet(
-        8,
-        seed=5,
-        horizon_s=days(3),
-        regions=("us-east-1a", "us-west-1a"),
-        sizes=("small", "medium"),
-        churn_per_week=4.0,
-        spare_capacity=2,
-    )
-    tracker = ServiceSpec(
-        name="svc-index-tracker",
-        strategy=StrategySpec.index_tracking(("us-east-1a", "us-west-1a")),
-    )
-    return fleet.with_(services=fleet.services + (tracker,))
+        return run_fleet(self.spec(), verify=verify).to_dict()
 
 
 FLEET_SCENARIOS: Tuple[GoldenFleetScenario, ...] = (
+    # Small enough for seconds, rich enough to exercise the shared spare
+    # pool and the churn proration path.
     GoldenFleetScenario(
-        "fleet-small",
-        "8-service fleet with churn on a shared 4-market grid",
-        _fleet_small,
+        "fleet-small", "8-service fleet with churn on a shared 4-market grid",
+        8, 5, days(3), _EAST_WEST, _SMALL_MEDIUM, churn_per_week=4.0, spare_capacity=2,
+        pinned=(("svc-index-tracker", partial(StrategySpec.index_tracking, _EAST_WEST)),),
     ),
 )
 
@@ -766,34 +458,9 @@ def scenario_by_name(name: str):
 
 
 # ------------------------------------------------------------------- execution
-def run_scenario(scenario: GoldenScenario, verify: bool = True) -> Dict[str, object]:
-    """Run one scenario (with the invariant oracles by default) and return
-    its report as a JSON-ready dict."""
-    observed = run_simulation_observed(
-        scenario.spec(), scenario.catalog(), verify=verify
-    )
-    return dataclasses.asdict(observed.result)
-
-
-def run_fleet_scenario(
-    scenario: GoldenFleetScenario, verify: bool = True
-) -> Dict[str, object]:
-    """Run one fleet scenario (with the fleet invariant oracles by
-    default) and return its :class:`~repro.fleet.report.FleetReport` as a
-    JSON-ready dict."""
-    from repro.fleet.runner import run_fleet
-
-    return run_fleet(scenario.spec(), verify=verify).to_dict()
-
-
-def _run_any(scenario, verify: bool) -> Dict[str, object]:
-    if isinstance(scenario, GoldenFleetScenario):
-        return run_fleet_scenario(scenario, verify=verify)
-    return run_scenario(scenario, verify=verify)
-
-
-def _expected_path(golden_dir: Path, scenario) -> Path:
-    return golden_dir / f"{scenario.name}.json"
+def _select(names: Optional[List[str]]) -> List[Any]:
+    """The named scenarios, or the whole corpus (both tables) when none."""
+    return [scenario_by_name(n) for n in names] if names else [*SCENARIOS, *FLEET_SCENARIOS]
 
 
 def _diff_value(path: str, e: object, a: object, out: List[str]) -> None:
@@ -842,22 +509,16 @@ def check_scenarios(
     match; a missing expected file reports as one difference.
     """
     golden_dir = golden_dir if golden_dir is not None else default_golden_dir()
-    chosen = (
-        [scenario_by_name(n) for n in names]
-        if names
-        else [*SCENARIOS, *FLEET_SCENARIOS]
-    )
     out: Dict[str, List[str]] = {}
-    for scenario in chosen:
-        path = _expected_path(golden_dir, scenario)
+    for scenario in _select(names):
+        path = golden_dir / f"{scenario.name}.json"
         if not path.exists():
             out[scenario.name] = [
                 f"no expected report at {path} (run repro-verify --update-golden)"
             ]
             continue
         expected = json.loads(path.read_text())
-        actual = _run_any(scenario, verify=verify)
-        out[scenario.name] = _diff(expected, actual)
+        out[scenario.name] = _diff(expected, scenario.report(verify=verify))
     return out
 
 
@@ -867,15 +528,9 @@ def update_golden(
     """(Re)write the expected reports; returns ``{name: path written}``."""
     golden_dir = golden_dir if golden_dir is not None else default_golden_dir()
     golden_dir.mkdir(parents=True, exist_ok=True)
-    chosen = (
-        [scenario_by_name(n) for n in names]
-        if names
-        else [*SCENARIOS, *FLEET_SCENARIOS]
-    )
     written: Dict[str, Path] = {}
-    for scenario in chosen:
-        actual = _run_any(scenario, verify=True)
-        path = _expected_path(golden_dir, scenario)
-        path.write_text(json.dumps(actual, indent=2, sort_keys=True) + "\n")
+    for scenario in _select(names):
+        path = golden_dir / f"{scenario.name}.json"
+        path.write_text(json.dumps(scenario.report(), indent=2, sort_keys=True) + "\n")
         written[scenario.name] = path
     return written

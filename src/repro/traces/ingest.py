@@ -496,8 +496,8 @@ def load_segment_catalog(segment_dir: str | Path) -> TraceCatalog:
 
 
 # --------------------------------------------------------------- module CLI
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - thin
-    """``python -m repro.traces.ingest ARCHIVE [ARCHIVE...] -o DIR``."""
+def build_parser() -> "argparse.ArgumentParser":
+    """The ``python -m repro.traces.ingest`` argument parser."""
     import argparse
 
     p = argparse.ArgumentParser(
@@ -507,7 +507,12 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - thin
     p.add_argument("archives", nargs="+", help="CSV or gzip archive paths")
     p.add_argument("-o", "--out", required=True, help="segment output directory")
     p.add_argument("--chunk-records", type=int, default=DEFAULT_CHUNK_RECORDS)
-    args = p.parse_args(argv)
+    return p
+
+
+def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - thin
+    """``python -m repro.traces.ingest ARCHIVE [ARCHIVE...] -o DIR``."""
+    args = build_parser().parse_args(argv)
     report = ingest_archive(args.archives, args.out, chunk_records=args.chunk_records)
     print(
         f"ingested {report.n_records} records into {report.n_markets} market "

@@ -6,14 +6,19 @@ On an intentional behaviour change, refresh with ``repro-verify
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.testkit.golden import (
+    FLEET_SCENARIOS,
     SCENARIOS,
     check_scenarios,
     default_golden_dir,
-    run_scenario,
     scenario_by_name,
     update_golden,
 )
@@ -28,11 +33,15 @@ def test_corpus_shape():
 
 
 def test_every_scenario_has_expected_report():
-    golden = default_golden_dir()
-    for s in SCENARIOS:
-        assert (golden / f"{s.name}.json").exists(), (
-            f"missing expected report for {s.name}; run repro-verify --update-golden"
-        )
+    # Both directions: a scenario without a file, or a file left behind by
+    # a dropped scenario row, fails.
+    names = {s.name for s in (*SCENARIOS, *FLEET_SCENARIOS)}
+    files = {p.stem for p in default_golden_dir().glob("*.json")}
+    assert not names - files, (
+        f"missing expected report(s) for {sorted(names - files)}; "
+        "run repro-verify --update-golden"
+    )
+    assert not files - names, f"orphaned expected report(s): {sorted(files - names)}"
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
@@ -77,6 +86,25 @@ def test_diff_reports_field_changes(tmp_path):
 
 
 def test_run_scenario_passes_oracles():
-    # run_scenario verifies by default; a red oracle would raise.
-    report = run_scenario(scenario_by_name("storm-single"))
+    # report() verifies by default; a red oracle would raise.
+    report = scenario_by_name("storm-single").report()
     assert report["forced_migrations"] > 0  # the storm actually bites
+
+
+def test_importing_the_corpus_does_no_scenario_work():
+    # Rows hold recipes, not built objects: importing repro.testkit (which
+    # perfbench does during set-up) must build no strategy, fault plan,
+    # calibration, catalog or fleet.
+    probe = (
+        "import sys\n"
+        "called = set()\n"
+        "sys.setprofile(lambda f, e, a: e == 'call' and called.add(f.f_code.co_name))\n"
+        "import repro.testkit\n"
+        "sys.setprofile(None)\n"
+        "print(sorted(called & {'strategy_info', 'revocation_storm', 'correlated_spike',\n"
+        "    'calibration_for', 'build_catalog', 'fit_catalog', 'synthesize_fleet'}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

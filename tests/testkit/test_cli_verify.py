@@ -48,10 +48,3 @@ def test_storm_battery(capsys):
     out = capsys.readouterr().out
     assert "all invariant oracles green" in out
     assert "determinism.jobs" in out
-
-
-def test_golden_dir_env_override(tmp_path, monkeypatch, capsys):
-    from repro.testkit.golden import default_golden_dir
-
-    monkeypatch.setenv("REPRO_GOLDEN_DIR", str(tmp_path))
-    assert default_golden_dir() == tmp_path
