@@ -607,8 +607,9 @@ def run_batch(
                         # this run — results are identical, only slower.
                         _discard_pool(jobs)
                         pair = _execute_one(specs[i], cache, retries, retry_backoff_s, engines[i])
+                    else:
+                        parallel_runs += 1
                     _complete(i, pair)
-                    parallel_runs += 1
             finally:
                 shutil.rmtree(spill_dir, ignore_errors=True)
     finally:

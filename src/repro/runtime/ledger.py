@@ -114,19 +114,19 @@ def _header_fingerprint(path: Path) -> Optional[str]:
     return str(fingerprint) if fingerprint is not None else None
 
 
-def _result_to_dict(result: SimulationResult) -> Dict[str, Any]:
-    return dataclasses.asdict(result)
+def _fields_to_dict(obj: Any) -> Dict[str, Any]:
+    """A dataclass's fields as a dict, values shared rather than copied.
+
+    ``json.dumps`` encodes this dict exactly as it encodes
+    ``dataclasses.asdict(obj)`` (tuples become arrays either way, and
+    neither record type nests a dataclass), without ``asdict``'s
+    recursive deep copy of every trace-event dict.
+    """
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _result_from_dict(data: Dict[str, Any]) -> SimulationResult:
     return SimulationResult(**data)
-
-
-def _telemetry_to_dict(telemetry: RunTelemetry) -> Dict[str, Any]:
-    d = dataclasses.asdict(telemetry)
-    if d.get("trace_events") is not None:
-        d["trace_events"] = list(d["trace_events"])
-    return d
 
 
 def _telemetry_from_dict(data: Dict[str, Any]) -> RunTelemetry:
@@ -193,8 +193,8 @@ class RunLedger:
                 "index": index,
                 "fingerprint": fingerprint,
                 "attempts": telemetry.attempts,
-                "result": _result_to_dict(result),
-                "telemetry": _telemetry_to_dict(telemetry),
+                "result": _fields_to_dict(result),
+                "telemetry": _fields_to_dict(telemetry),
             }
         )
 

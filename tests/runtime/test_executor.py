@@ -14,6 +14,7 @@ from repro.runtime import (
     StrategySpec,
     TraceCatalogCache,
     collect_telemetry,
+    executor,
     run_batch,
 )
 from repro.traces.calibration import SIZES, MarketCalibration, calibration_for
@@ -135,6 +136,41 @@ class TestParallelDeterminism:
             sizes=("small",),
         )
         assert run_many(spec, [1, 2, 3], jobs=4) == run_many(spec, [1, 2, 3])
+
+
+_CRASH_SEED = 2
+_real_execute_mapped = executor._execute_mapped
+
+
+def _execute_mapped_dying_on_seed(spec, *args):
+    """Pool-worker stand-in that kills its worker outright for one seed."""
+    if spec.seed == _CRASH_SEED:
+        os._exit(1)
+    return _real_execute_mapped(spec, *args)
+
+
+class TestBrokenPool:
+    def test_worker_killed_mid_batch_falls_back_in_process(self, monkeypatch):
+        """A worker that dies breaks the pool: the runs it strands re-execute
+        in the parent, identically, and are not counted as pool runs."""
+        base = RunSpec(
+            strategy=StrategySpec.single(MarketKey(REGION, "small")),
+            horizon_s=days(2),
+            regions=(REGION,),
+            sizes=("small",),
+        )
+        runs = BatchSpec.product(base, [1, _CRASH_SEED, 3, 4])
+        serial = run_batch(runs, jobs=1, cache=TraceCatalogCache())
+        monkeypatch.setattr(executor, "_execute_mapped", _execute_mapped_dying_on_seed)
+        # A fresh pool, so its forked workers run the stand-in.
+        monkeypatch.setattr(executor, "_POOLS", {})
+        batch = run_batch(runs, jobs=2)
+        assert list(batch.results) == list(serial.results)
+        assert batch.run_telemetry[1].worker_pid == os.getpid()  # the crashed seed
+        assert batch.telemetry.parallel_runs < batch.telemetry.runs
+        assert batch.telemetry.parallel_runs == sum(
+            1 for t in batch.run_telemetry if t.worker_pid != os.getpid()
+        )
 
 
 class TestTelemetry:

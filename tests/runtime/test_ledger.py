@@ -6,6 +6,7 @@ and the end-to-end orchestrator-SIGKILL drill via
 :func:`repro.testkit.faults.kill_orchestrator_after_n_runs`.
 """
 
+import copy
 import dataclasses
 import json
 import os
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError, LedgerError
+from repro.obs import observe
 from repro.runtime import (
     RunLedger,
     RunSpec,
@@ -212,6 +214,50 @@ class TestJournaling:
         assert json.loads(lines[0])["fingerprint"] == batch_fingerprint(_specs(5, 6))
 
 
+class TestEncoding:
+    """Run records are encoded straight from the dataclass fields; the
+    bytes must stay those of the ``dataclasses.asdict`` encoding that
+    existing ledgers were written with."""
+
+    @staticmethod
+    def _traced_run(tmp_path):
+        led = tmp_path / "batch.jsonl"
+        batch = run_batch([_spec(seed=1, capture_trace=True)], ledger=led)
+        result, telemetry = batch.results[0], batch.run_telemetry[0]
+        # Seed 1 exercises every container field of both record types.
+        assert telemetry.trace_events and result.forced_times and result.downtime_by_cause
+        return led, result, telemetry
+
+    def test_record_bytes_match_asdict_encoding(self, tmp_path):
+        led, result, telemetry = self._traced_run(tmp_path)
+        expected = json.dumps(
+            {
+                "kind": "run",
+                "index": 0,
+                "fingerprint": spec_fingerprint(_spec(seed=1)),
+                "attempts": telemetry.attempts,
+                "result": dataclasses.asdict(result),
+                "telemetry": {
+                    **dataclasses.asdict(telemetry),
+                    "trace_events": list(telemetry.trace_events),
+                },
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert led.read_bytes().split(b"\n")[1] == expected.encode()
+
+    def test_record_run_does_not_mutate_its_inputs(self, tmp_path):
+        _, result, telemetry = self._traced_run(tmp_path)
+        events = telemetry.trace_events
+        result_before, telemetry_before = copy.deepcopy(result), copy.deepcopy(telemetry)
+        with RunLedger.start(tmp_path / "direct.jsonl", "0" * 64, 1) as ledger:
+            ledger.record_run(0, "run-fp", result, telemetry)
+        assert telemetry.trace_events is events
+        assert result == result_before
+        assert telemetry == telemetry_before
+
+
 # --------------------------------------------------------------------- resume
 class TestResume:
     def test_partial_ledger_replays_and_completes(self, tmp_path):
@@ -367,6 +413,21 @@ class TestResume:
         resumed1 = run_batch(_specs(*seeds), ledger=led2, resume=True, jobs=1)
         assert resumed1.results == base.results
         assert resumed1.telemetry.replayed_runs == 2
+
+    def test_traced_pooled_batch_resumes_identical_events(self, tmp_path):
+        led = tmp_path / "batch.jsonl"
+        specs = _specs(1, 2, 3, 4)
+        with observe(trace=True) as first:
+            journaled = run_batch(specs, ledger=led, jobs=2)
+        with observe(trace=True) as second:
+            resumed = run_batch(specs, ledger=led, resume=True, jobs=2)
+        assert resumed.telemetry.replayed_runs == len(specs)
+        assert all(t.replayed for t in resumed.run_telemetry)
+        assert resumed.results == journaled.results
+        for ran, replayed in zip(journaled.run_telemetry, resumed.run_telemetry):
+            assert ran.trace_events
+            assert replayed.trace_events == ran.trace_events
+        assert second.event_count == first.event_count
 
 
 # ----------------------------------------------------- orchestrator SIGKILL
