@@ -10,7 +10,8 @@ by copying the current file after an intentional perf change.
 * ``test_bench_decision_queries_compiled_vs_naive`` replays a realistic
   scheduler interrogation mix (crossing lookups + window aggregates) on a
   month-long trace through both the compiled plan and the ``naive_*``
-  oracles, asserting the >= 3x acceptance-criterion speedup.
+  oracles in interleaved rounds, asserting the >= 3x acceptance-criterion
+  speedup on the median per-round ratio.
 * ``test_bench_batch_sweep_64_pooled_vs_serial`` times a 64-run policy
   sweep (32 proactive variants x 2 seeds) serially and at ``jobs=4``,
   where the parent publishes each of the 2 catalogs once as a segment
@@ -61,7 +62,24 @@ def best_of(fn, repeats: int = 3) -> float:
     return best
 
 
+def per_pass_s(fn, passes: int) -> float:
+    """Mean seconds per call over ``passes`` back-to-back calls."""
+    t0 = time.perf_counter()
+    for _ in range(passes):
+        fn()
+    return (time.perf_counter() - t0) / passes
+
+
 # --------------------------------------------------- scheduler decision micro
+#: One pass of the decision mix takes a few ms, too short to time alone,
+#: and a shared host's speed drifts between two timings taken seconds
+#: apart. So each round times this many back-to-back passes of both
+#: paths in turn, the speedup is the median of the per-round ratios, and
+#: the recorded seconds are the best per-pass times (comparable with
+#: single-pass baselines).
+DECISION_PASSES = 10
+DECISION_ROUNDS = 9
+
 @pytest.mark.benchmark(group="decisions")
 def test_bench_decision_queries_compiled_vs_naive():
     """The decision mix must be >= 3x faster through the compiled plan."""
@@ -94,15 +112,19 @@ def test_bench_decision_queries_compiled_vs_naive():
         return acc
 
     assert compiled_pass() == naive_pass()  # exactness, then speed
-    compiled_s = best_of(compiled_pass)
-    naive_s = best_of(naive_pass)
-    speedup = naive_s / compiled_s
+    rounds = [
+        (per_pass_s(compiled_pass, DECISION_PASSES), per_pass_s(naive_pass, DECISION_PASSES))
+        for _ in range(DECISION_ROUNDS)
+    ]
+    compiled_s = min(c for c, _ in rounds)
+    naive_s = min(n for _, n in rounds)
+    speedup = float(np.median([n / c for c, n in rounds]))
     record(
         scheduler_decisions_compiled_s={"value": compiled_s, "unit": "s"},
         scheduler_decisions_naive_s={"value": naive_s, "unit": "s"},
         scheduler_decisions_speedup_x={"value": speedup, "unit": "x"},
     )
-    print(f"\ndecision mix: compiled {compiled_s:.4f}s, naive {naive_s:.4f}s, {speedup:.1f}x")
+    print(f"\ndecision mix: compiled {compiled_s:.4f}s, naive {naive_s:.4f}s, {speedup:.2f}x")
     assert speedup >= 3.0, f"compiled decision path only {speedup:.2f}x faster"
 
 

@@ -230,8 +230,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             sink = MemorySink() if want_trace else NULL_SINK
             # A single replay has no batch to route or fuse: anything but
             # --engine event runs the vector scheduler, which itself
-            # degrades to per-event for configurations it cannot batch and
-            # for enabled trace sinks (results are identical).
+            # degrades to per-event for configurations it cannot batch
+            # and narrates the boundary checks it skips (results and
+            # traces are identical).
             one_engine = "event" if args.engine == "event" else "vector"
             observed = run_simulation_observed(
                 spec, catalog, sink=sink, engine=one_engine

@@ -114,9 +114,9 @@ def build_stack(
     :class:`~repro.runtime.vector.VectorScheduler` — bit-identical
     results with no-action decision epochs batch-scanned as array ops.
     Configurations the vector engine cannot batch (non-vectorizable
-    strategy or bidding policy, an enabled trace sink) transparently run
-    per-event; the scheduler's ``vectorized`` attribute says which
-    happened. ``fused`` optionally attaches a shared
+    strategy or bidding policy) transparently run per-event; the
+    scheduler's ``vectorized`` attribute says which happened. ``fused``
+    optionally attaches a shared
     :class:`~repro.runtime.fused.FusedScanContext` so boundary-scan rows
     are reused across the runs of a fusion group (ignored by the event
     engine).

@@ -13,9 +13,11 @@ plans) transparently execute in-process.
 
 Engine routing (``engine=``): ``"auto"`` runs a spec on the vectorized
 batch engine exactly when it is eligible — vectorizable strategy and
-bidding policy, no fault plan, no trace capture, no run ledger — and on
-the per-event engine otherwise; results are bit-identical either way, the
-vector engine just skips the no-action boundary machinery. ``"event"``
+bidding policy, no fault plan — and on the per-event engine otherwise;
+results, trace events and metrics are bit-identical either way, the
+vector engine just skips the no-action boundary machinery (narrating the
+checks it skips when a trace is captured). Traced and ledgered batches
+route like any other. ``"event"``
 forces the per-event engine, the scalar reference every other path is
 tested against. Which engine actually ran each spec is reported as
 :attr:`~repro.runtime.telemetry.RunTelemetry.engine_kind`.
@@ -237,16 +239,17 @@ def _execute_mapped(
     )
 
 
-def _resolve_engine(spec: RunSpec, engine: str, ledgered: bool) -> str:
+def _resolve_engine(spec: RunSpec, engine: str) -> str:
     """Which engine one spec runs on, given the batch's ``engine`` selector.
 
-    A ledgered batch always runs per-event (journal replays must stay
-    comparable across package versions regardless of routing defaults).
-    Under ``"auto"``, faulted and trace-capturing runs stay on the event
-    engine — fault overlays and narration want the per-boundary walk —
-    and everything else goes to the vector engine when eligible.
+    Under ``"auto"``, faulted runs stay on the event engine (fault
+    overlays want the per-boundary walk) and everything else goes to the
+    vector engine when eligible. Trace capture and journaling do not
+    change the route: the vector engine narrates the boundary checks it
+    skips, so traces do not depend on the engine, and a ledger header
+    already pins the package version its replays came from.
     """
-    if engine == "event" or ledgered or spec.faults is not None or spec.capture_trace:
+    if engine == "event" or spec.faults is not None:
         return "event"
     return "vector" if spec_vector_eligible(spec) else "event"
 
@@ -347,11 +350,12 @@ def run_batch(
         A :class:`BatchSpec` or sequence of :class:`RunSpec`.
     engine:
         ``"auto"`` (default) routes each eligible run — vectorizable
-        policies, no faults, no trace capture, no ledger — through the
-        vectorized batch engine (with serial-path cross-run fusion) and
-        the rest per-event; ``"event"`` forces the per-event engine
-        batch-wide. Results are bit-identical across engines; each run's
-        :class:`RunTelemetry.engine_kind` reports which one executed it.
+        policies, no faults — through the vectorized batch engine (with
+        serial-path cross-run fusion for untraced runs, journaled or not)
+        and the rest per-event; ``"event"`` forces the per-event engine
+        batch-wide. Results and traces are bit-identical across engines;
+        each run's :class:`RunTelemetry.engine_kind` reports which one
+        executed it.
     jobs:
         Worker processes. ``1`` (the default) runs serially in-process;
         ``N > 1`` fans runs across ``N`` workers, which map each catalog
@@ -440,7 +444,7 @@ def run_batch(
     shm_catalogs = 0
     deduped_runs = 0
     fused_groups = 0
-    engines = tuple(_resolve_engine(s, engine, ledger is not None) for s in specs)
+    engines = tuple(_resolve_engine(s, engine) for s in specs)
 
     try:
         if jobs == 1 or len(pending) <= 1:
@@ -529,7 +533,8 @@ def run_batch(
                                 band_reps.setdefault(rkey, []).append((band, i))
                     continue
                 rep_pair = slots[rep]
-                assert rep_pair is not None  # representative precedes its twins
+                # A representative precedes its twins or was replayed.
+                assert rep_pair is not None
                 rep_result, rep_telemetry = rep_pair
                 # The spec's own label when set; otherwise the default label
                 # is a pure function of the dynamics key (bidding name is in
@@ -544,6 +549,7 @@ def run_batch(
                             label=label,
                             deduped=True,
                             fused=False,
+                            replayed=False,
                             # The clone resolved no catalog of its own; keep
                             # the batch's build/hit accounting honest.
                             catalog_cache_hit=True,

@@ -168,9 +168,10 @@ class FusedScanContext:
 class FusionPlan:
     """The serial executor's fusion assignment for one pending batch."""
 
-    #: Twin run index -> its executed representative's index. Twins are
-    #: expanded from the representative's finished result — strictly
-    #: *after* fused evaluation, never double-counted as fused runs.
+    #: Twin run index -> its representative's index (an executed run, or
+    #: one replayed from a ledger). Twins are expanded from the
+    #: representative's finished result — strictly *after* fused
+    #: evaluation, never double-counted as fused runs.
     twin_of: Dict[int, int] = field(default_factory=dict)
     #: Executed run index -> the shared scan context of its fusion group.
     context_of: Dict[int, FusedScanContext] = field(default_factory=dict)
@@ -399,6 +400,16 @@ def plan_fusion(
     plan = FusionPlan()
     rep_of: Dict[tuple, int] = {}
     by_catalog: Dict[object, List[int]] = {}
+    if len(pending) < len(specs):
+        # Runs replayed from a ledger already have their results: they
+        # represent their twins, so a resumed batch executes no run that
+        # an uninterrupted one would have cloned.
+        todo = set(pending)
+        for i, spec in enumerate(specs):
+            if i not in todo and engines[i] == "vector":
+                key = dedupe_key(spec)
+                if key is not None:
+                    rep_of.setdefault(key, i)
     for i in pending:
         if engines[i] != "vector":
             continue

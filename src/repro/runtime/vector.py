@@ -46,11 +46,17 @@ and bidding policy must both declare ``vectorizable`` — static bids and
 pure predicates, plus either a zero rate adjustment or the closed-form
 dwell-model hooks (``spot_rate_cap``, ``vector_od_adjustment_floor``,
 ``_vector_dwell``, ``_vector_exact_od_ranking``) that keep the scans
-sound over-approximations — and the run must not be narrating to a
-trace sink (the event engine emits a ``BillingTick`` per visited
-boundary; skipping boundaries would change the narration). Ineligible
-configurations transparently degrade: the scheduler simply behaves as a
-:class:`CloudScheduler` and reports ``vectorized = False``.
+sound over-approximations. Ineligible configurations transparently
+degrade: the scheduler simply behaves as a :class:`CloudScheduler` and
+reports ``vectorized = False``.
+
+Tracing does not change the route. The event engine narrates every
+boundary check it visits (a ``BillingTick``, plus an ``above-on-demand``
+``PriceCrossing`` where a pure-spot run stays above on-demand), so with
+an enabled sink the scan narrates each check it skips from the same
+price rows, in the same order, and counts it as one fired event on the
+engine's completion record. The event stream is therefore identical on
+both engines; untraced scans skip the narration entirely.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ import numpy as np
 
 from repro.cloud.provider import LeaseKind
 from repro.core.scheduler import CloudScheduler
+from repro.obs.events import BillingTick, PriceCrossing
 from repro.simulator.process import SleepUntil
 from repro.units import SECONDS_PER_HOUR
 
@@ -95,8 +102,8 @@ def policies_vectorizable(strategy: object, bidding: object) -> bool:
 
 def spec_vector_eligible(spec: object) -> bool:
     """Is a :class:`~repro.runtime.spec.RunSpec` runnable on the vector
-    engine at all (capability check only — the executor layers its own
-    routing policy for faults/capture/ledger on top)?
+    engine at all (capability check only — the executor keeps faulted
+    runs on the event engine on top of it)?
 
     Building the strategy to inspect its flag is safe: a spec builds a
     fresh instance per call and strategies are cheap by contract.
@@ -123,10 +130,7 @@ class VectorScheduler(CloudScheduler):
 
     def __init__(self, *args, fused=None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.vectorized = (
-            not self.sink.enabled
-            and policies_vectorizable(self.strategy, self.bidding)
-        )
+        self.vectorized = policies_vectorizable(self.strategy, self.bidding)
         #: Boundary-check instants evaluated as array scans (telemetry:
         #: how much per-event machinery the run batched away).
         self.vector_checks = 0
@@ -216,8 +220,13 @@ class VectorScheduler(CloudScheduler):
         other). If some hop would diverge by an ulp, the scan lands on
         the chained value of the first such hop — the phase re-evaluates
         there and continues, exactly as the event engine would have.
+
+        With an enabled trace sink, every check the scan passes over
+        without landing is narrated as the event engine's non-acting
+        boundary decision would have narrated it (:meth:`_narrate_skipped`).
         """
         arrive = now
+        narrate = self.sink.enabled
         if t_hi > now:
             assert self.placement is not None
             anchor = self.placement.ready_at
@@ -257,22 +266,70 @@ class VectorScheduler(CloudScheduler):
                             # the stop bit-for-bit. Arrivals == stops; no
                             # walk needed.
                             idx = int(act.argmax())
-                            if act[idx]:
+                            acted = bool(act[idx])
+                            if narrate:
+                                skipped = window[:idx] if acted else window
+                                self._narrate_skipped(skipped, lead)
+                            if acted:
                                 return float(window[idx])
                             arrive = float(window[-1])
                         else:
                             # Early-sim small times: walk the chain hop by
                             # hop, exactly as the event engine arrives.
-                            for stop, acts in zip(window.tolist(), act.tolist()):
+                            for j, (stop, acts) in enumerate(
+                                zip(window.tolist(), act.tolist())
+                            ):
                                 delta = stop - arrive
                                 arrive = arrive + (delta if delta > 0.0 else 0.0)
                                 if acts or arrive != stop:
+                                    if narrate:
+                                        self._narrate_skipped(window[:j], lead)
                                     return arrive
+                            if narrate:
+                                self._narrate_skipped(window, lead)
                     if cut < hi - lo:
                         break
                     lo, width = hi, min(width * 2, self._SCAN_WINDOW_MAX)
         delta = t_hi - arrive
         return arrive + (delta if delta > 0.0 else 0.0)
+
+    def _narrate_skipped(self, checks: np.ndarray, lead: float) -> None:
+        """Narrate boundary checks a scan skipped, as the event engine does.
+
+        Each skipped check is a boundary decision that stays put. The event
+        engine narrates one as a ``BillingTick`` priced at the tenure's own
+        market. On spot, where the planned predicate holds but nothing acts
+        (pure spot with no grantable sibling), it adds the
+        ``above-on-demand`` ``PriceCrossing``. Each check also counts as one
+        fired event on the engine's completion record
+        (:attr:`~repro.simulator.engine.Engine.narrated_count`), so the
+        event stream does not depend on the engine.
+        """
+        if not checks.size:
+            return
+        placement = self.placement
+        assert placement is not None
+        market = self._market(placement.key)
+        name = self._key_str(placement.key)
+        od = market.on_demand_price
+        prices = self._scan_prices(market.trace, checks)
+        crossed = (
+            np.asarray(self.bidding.planned_migration_mask(prices, od), dtype=bool)
+            if placement.kind is LeaseKind.SPOT
+            else np.zeros(checks.shape, dtype=bool)
+        )
+        emit = self.sink.emit
+        for t, price, above in zip(checks.tolist(), prices.tolist(), crossed.tolist()):
+            emit(BillingTick(
+                t=t, market=name, price=price, on_demand_price=od, boundary=t + lead
+            ))
+            if above:
+                rose = market.last_rise_above(od, t)
+                emit(PriceCrossing(
+                    t=t if rose is None else rose, market=name, price=price,
+                    threshold=od, direction="above-on-demand",
+                ))
+        self.engine.narrated_count += len(checks)
 
     # ----------------------------------------------------------- spot tenure
     def _spot_phase(self) -> Generator:

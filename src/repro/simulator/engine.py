@@ -80,6 +80,12 @@ class Engine:
         self.sink = sink
         self.fired_log: list[Event] = []
         self.fired_count = 0
+        #: Events a batching scheduler narrated instead of firing: the
+        #: vector engine's skipped boundary checks, each of which the
+        #: per-event loop fires as one timer. Counted into
+        #: ``EngineRunCompleted.fired_events`` so traces do not depend on
+        #: the engine; :attr:`fired_count` stays the real count.
+        self.narrated_count = 0
 
     # ------------------------------------------------------------------ clock
     @property
@@ -209,7 +215,11 @@ class Engine:
         if until is not None and not self._stopped and self._now < until:
             self._now = until
         if self.sink.enabled:
-            self.sink.emit(EngineRunCompleted(t=self._now, fired_events=self.fired_count))
+            self.sink.emit(
+                EngineRunCompleted(
+                    t=self._now, fired_events=self.fired_count + self.narrated_count
+                )
+            )
         return fired
 
     def stop(self) -> None:

@@ -149,19 +149,33 @@ class CompiledTrace:
         scalar adjustments replace it. Where the endpoint-only adjustment
         could differ from a true clip (inverted/degenerate windows, the
         window entirely off-trace) the segment's duration is non-positive
-        under both, so the ``dur > 0`` mask discards it identically.
+        under both, so the ``dur > 0`` mask discards it identically; the
+        mask is applied only when an endpoint duration calls for it.
         """
         first, last = self.window_bounds(t0, t1)
-        lo = self.bounds[first:last].copy()
-        hi = self.bounds[first + 1 : last + 1].copy()
-        if lo.shape[0]:
-            if lo[0] < t0:
-                lo[0] = t0
-            if hi[-1] > t1:
-                hi[-1] = t1
-        dur = hi - lo
+        dur = self.bounds[first + 1 : last + 1] - self.bounds[first:last]
+        prices = self.prices[first:last].copy()
+        if last == first:
+            return dur, prices
+        # Only the two endpoint durations can be clipped, and only they
+        # can be non-positive (interior bounds strictly increase): fix
+        # them with the same scalar float ops, and mask only if needed.
+        times = self._times_list
+        lo = times[first]
+        if lo < t0:
+            lo = t0
+        hi = times[last] if last < self._n else self.horizon
+        if hi > t1:
+            hi = t1
+        if last - first == 1:
+            head = tail = dur[0] = hi - lo
+        else:
+            head = dur[0] = times[first + 1] - lo
+            tail = dur[-1] = hi - times[last - 1]
+        if head > 0 and tail > 0:
+            return dur, prices
         mask = dur > 0
-        return dur[mask], self.prices[first:last][mask]
+        return dur[mask], prices[mask]
 
     def _resolve(self, t0: Optional[float], t1: Optional[float]) -> Tuple[float, float]:
         a = float(self.times[0]) if t0 is None else t0

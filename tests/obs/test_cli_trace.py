@@ -49,8 +49,8 @@ class TestTraceSummarize:
         assert "event(s) across 2 run(s)" in out
         assert out.count("== ") == 2
         # Headings carry the seed plus the engine that executed the run
-        # (traced runs always route to the event engine).
-        assert "(seed 11, event engine)" in out and "(seed 23, event engine)" in out
+        # (traced runs route like untraced ones: these vectorize).
+        assert "(seed 11, vector engine)" in out and "(seed 23, vector engine)" in out
         assert "voluntary migration(s)" in out
         assert "bid-placed" in out
 

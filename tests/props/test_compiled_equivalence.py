@@ -112,10 +112,18 @@ def test_max_min_price_match_naive(pair):
 @given(trace_and_lease())
 def test_window_arrays_match_segment_durations(pair):
     trace, t0, t1 = pair
-    dur_f, pr_f = trace.compiled.window(t0, t1)
-    dur_n, pr_n = trace._segment_durations(t0, t1)
-    np.testing.assert_array_equal(dur_f, dur_n)
-    np.testing.assert_array_equal(pr_f, pr_n)
+    windows = (
+        (t0, t1),
+        (t1, t0),  # inverted
+        (t0, t0),  # degenerate
+        (trace.start - 60.0, t0),  # opens before the trace
+        (t1, trace.horizon + 60.0),  # closes past the horizon
+    )
+    for a, b in windows:
+        dur_f, pr_f = trace.compiled.window(a, b)
+        dur_n, pr_n = trace._segment_durations(a, b)
+        np.testing.assert_array_equal(dur_f, dur_n)
+        np.testing.assert_array_equal(pr_f, pr_n)
 
 
 # --------------------------------------------------------------- crossings

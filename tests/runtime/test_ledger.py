@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.bidding import ProactiveBidding
 from repro.errors import ConfigurationError, LedgerError
 from repro.obs import observe
 from repro.runtime import (
@@ -29,6 +30,7 @@ from repro.runtime import (
     run_batch,
     spec_fingerprint,
 )
+from repro.runtime.cache import TraceCatalogCache
 from repro.testkit.faults import kill_orchestrator_after_n_runs
 from repro.traces.catalog import MarketKey
 from repro.units import days
@@ -428,6 +430,99 @@ class TestResume:
             assert ran.trace_events
             assert replayed.trace_events == ran.trace_events
         assert second.event_count == first.event_count
+
+
+# ------------------------------------------------------ fusion under a ledger
+def _dedupe_specs():
+    """Static dedupe twins: every k clamps at the provider's bid cap."""
+    return [
+        _spec(seed=7, bidding=ProactiveBidding(k=k), label=f"k={k}")
+        for k in (5.0, 7.0, 9.0)
+    ]
+
+
+def _fusion_specs():
+    """The dedupe twins plus reverse-band twins (fractions the
+    representative's trajectory never compares apart), one seed."""
+    band = [
+        _spec(
+            seed=7,
+            bidding=ProactiveBidding(k=4.0, reverse_threshold_frac=f),
+            label=f"f={f}",
+        )
+        for f in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    ]
+    return _dedupe_specs() + band
+
+
+class TestFusedResume:
+    """Untraced journaled batches dedupe, rank- and band-clone on the
+    serial path exactly as unjournaled ones do, and resume identically."""
+
+    def test_ledgered_batch_clones_like_unledgered(self, tmp_path):
+        specs = _fusion_specs()
+        plain = run_batch(specs, cache=TraceCatalogCache())
+        journaled = run_batch(
+            specs, ledger=tmp_path / "b.jsonl", cache=TraceCatalogCache()
+        )
+        assert journaled.results == plain.results
+        assert journaled.telemetry.deduped_runs == plain.telemetry.deduped_runs
+        # More clones than the 2 static dedupe twins: the band tier ran.
+        assert journaled.telemetry.deduped_runs > 2
+        assert journaled.telemetry.vector_runs == len(specs)
+        replay = run_batch(specs, ledger=tmp_path / "b.jsonl", resume=True)
+        assert replay.results == plain.results
+
+    def test_resume_between_representative_and_twins(self, tmp_path):
+        """Cut the ledger right after the representative's record: the
+        resumed batch clones its dedupe twins from the replayed record
+        instead of re-executing one of them. (Rank and band twins need the
+        representative's catalog projection and observed reverse band,
+        which a ledger does not hold: after such a cut one of them
+        re-executes and represents the rest.)"""
+        specs = _dedupe_specs()
+        full = tmp_path / "full.jsonl"
+        uninterrupted = run_batch(specs, ledger=full, cache=TraceCatalogCache())
+        lines = _ledger_lines(full)
+        rep = json.loads(lines[1])
+        assert rep["index"] == 0 and not rep["telemetry"]["deduped"]
+        assert json.loads(lines[2])["telemetry"]["deduped"]
+
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("\n".join(lines[:2]) + "\n")  # header + representative
+        resumed = run_batch(specs, ledger=cut, resume=True, cache=TraceCatalogCache())
+        assert _result_bytes(resumed.results) == _result_bytes(uninterrupted.results)
+        assert resumed.telemetry.replayed_runs == 1
+        assert resumed.telemetry.deduped_runs == uninterrupted.telemetry.deduped_runs
+        twins = resumed.run_telemetry[1:]
+        assert all(t.deduped and not t.replayed for t in twins)
+        assert sorted(RunLedger.load(cut)[1].records) == list(range(len(specs)))
+
+
+class TestTornTailDrill:
+    """A crash can tear the final record at any byte: every prefix of it
+    must load, dropping exactly that record, and resume identically."""
+
+    def test_every_byte_offset_of_final_record(self, tmp_path):
+        specs = _specs(1, 2)
+        led = tmp_path / "batch.jsonl"
+        base = run_batch(specs, ledger=led)
+        data = led.read_bytes()
+        start = data.rstrip(b"\n").rfind(b"\n") + 1  # final record's first byte
+        torn = tmp_path / "torn.jsonl"
+        for offset in range(start, len(data)):
+            torn.write_bytes(data[:offset])
+            _, state = RunLedger.load(torn)
+            assert sorted(state.records) == [0], offset
+            assert state.dropped_torn_tail == (offset > start), offset
+            assert torn.read_bytes() == data[:start], offset
+
+        for offset in (start, start + 1, (start + len(data)) // 2, len(data) - 1):
+            torn.write_bytes(data[:offset])
+            resumed = run_batch(specs, ledger=torn, resume=True)
+            assert _result_bytes(resumed.results) == _result_bytes(base.results)
+            assert resumed.telemetry.replayed_runs == 1
+            assert torn.read_bytes().count(b"\n") == data.count(b"\n")
 
 
 # ----------------------------------------------------- orchestrator SIGKILL

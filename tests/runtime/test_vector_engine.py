@@ -2,8 +2,9 @@
 
 The contract under test: the vector engine produces results byte-identical
 to the event engine on every configuration it accepts, and the executor's
-``engine="auto"`` routing keeps ineligible runs (faulted, trace-capturing,
-ledgered, non-vectorizable policies) on the event engine.
+``engine="auto"`` routing keeps ineligible runs (faulted, non-vectorizable
+policies) on the event engine while traced and ledgered runs route like
+any other.
 """
 
 import pytest
@@ -124,25 +125,34 @@ def test_auto_keeps_faulted_run_on_event_engine():
     assert batch.telemetry.vector_runs == 0
 
 
-def test_auto_keeps_traced_run_on_event_engine():
+def test_auto_routes_traced_run_to_vector_engine():
+    """A trace-capturing run vectorizes and narrates the checks it skips:
+    the captured events equal the event engine's, while the real fired
+    count stays the (smaller) vector one."""
     with observe(trace=True):
         batch = run_batch([_spec()], engine="auto", cache=_CACHE)
-    t = batch.run_telemetry[0]
-    assert t.engine_kind == "event"
+        event = run_batch([_spec()], engine="event", cache=_CACHE)
+    t, e = batch.run_telemetry[0], event.run_telemetry[0]
+    assert t.engine_kind == "vector"
+    assert t.vector_checks > 0
+    assert batch.telemetry.vector_runs == 1
     assert t.trace_events  # capture actually happened
-    assert batch.telemetry.vector_runs == 0
+    assert t.trace_events == e.trace_events
+    assert t.events_processed < e.events_processed
+    assert batch.results == event.results
 
 
-def test_ledgered_batch_always_runs_per_event(tmp_path):
+def test_ledgered_batch_routes_like_unledgered(tmp_path):
     ledger = tmp_path / "ledger.jsonl"
     batch = run_batch([_spec()], engine="auto", ledger=ledger, cache=_CACHE)
-    assert batch.run_telemetry[0].engine_kind == "event"
-    # And the resumed replay reports the original (event) execution.
+    assert batch.run_telemetry[0].engine_kind == "vector"
+    assert batch.results == run_batch([_spec()], engine="event", cache=_CACHE).results
+    # And the resumed replay reports the original (vector) execution.
     resumed = run_batch(
         [_spec()], engine="auto", ledger=ledger, resume=True, cache=_CACHE
     )
     assert resumed.run_telemetry[0].replayed
-    assert resumed.run_telemetry[0].engine_kind == "event"
+    assert resumed.run_telemetry[0].engine_kind == "vector"
     assert resumed.results == batch.results
 
 
